@@ -40,6 +40,7 @@ from .engine import (
     EparSet,
     EparStep,
     ReachSet,
+    Rewriter,
     cstep_n,
     cstep_star,
     epar_check,

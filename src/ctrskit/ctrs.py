@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .terms import (
     Fun,
@@ -97,6 +97,19 @@ class Ctrs:
                         syms.add(sub.symbol)
         return cls(frozenset(syms), rules)
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: a system keys every memo table
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.symbols, self.rules))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a pickle must not carry one
+        return (Ctrs, (self.symbols, self.rules))
+
     @property
     def defined_symbols(self) -> frozenset[Symbol]:
         return frozenset(r.lhs.symbol for r in self.rules if isinstance(r.lhs, Fun))
@@ -179,31 +192,42 @@ def check_left_linear(system: Ctrs) -> PropertyReport:
     return PropertyReport("left-linear", not witnesses, tuple(witnesses))
 
 
+def loose_conditions(rule: Rule) -> Iterator[tuple[int, Condition, frozenset[Var]]]:
+    """The left-to-right binding rule: conditions that use unbound variables.
+
+    Condition i may only use variables of the rule lhs and of the right-hand
+    sides of conditions before it.  Yields (i, condition, loose variables)
+    for each condition whose lhs uses any other variable, in rule order.
+    """
+    bound = set(vars_of(rule.lhs))
+    for i, cond in enumerate(rule.conds):
+        loose = vars_of(cond.lhs) - bound
+        if loose:
+            yield i, cond, loose
+        bound |= vars_of(cond.rhs)
+
+
 def check_properly_oriented(system: Ctrs) -> PropertyReport:
     """Condition left-hand sides only use variables already determined.
 
-    For rules whose rhs introduces extra variables, condition i may only use
-    variables of the lhs and of earlier condition right-hand sides.  Rules
+    For rules whose rhs introduces extra variables, every condition must
+    obey the left-to-right binding rule of `loose_conditions`.  Rules
     without extra rhs variables are exempt.
     """
     witnesses = []
     for idx, rule in enumerate(system.rules):
         if vars_of(rule.rhs) <= vars_of(rule.lhs):
             continue
-        bound = set(vars_of(rule.lhs))
-        for i, cond in enumerate(rule.conds):
-            loose = vars_of(cond.lhs) - bound
-            if loose:
-                names = ", ".join(sorted(str(v) for v in loose))
-                witnesses.append(
-                    Witness(
-                        idx,
-                        f"condition {i + 1} left-hand side {render_term(cond.lhs)} "
-                        f"uses variable(s) {names} not bound by the rule lhs or "
-                        f"earlier condition rhss",
-                    )
+        for i, cond, loose in loose_conditions(rule):
+            names = ", ".join(sorted(str(v) for v in loose))
+            witnesses.append(
+                Witness(
+                    idx,
+                    f"condition {i + 1} left-hand side {render_term(cond.lhs)} "
+                    f"uses variable(s) {names} not bound by the rule lhs or "
+                    f"earlier condition rhss",
                 )
-            bound |= vars_of(cond.rhs)
+            )
     return PropertyReport("properly-oriented", not witnesses, tuple(witnesses))
 
 

@@ -19,19 +19,17 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ctrs import Condition, Ctrs, Rule
+from .ctrs import Condition, Ctrs, Rule, loose_conditions
 from .mctxt import HOLE, Mctxt, MFun, fill, of_term
 from .terms import (
     Fun,
     Subst,
+    Symbol,
     Term,
     apply_subst,
     compose,
-    function_positions,
     is_ground,
     match,
-    replace_at,
-    subterm_at,
     term_key,
     vars_of,
 )
@@ -134,54 +132,221 @@ class EparSet:
 
 def _check_solvable(rule: Rule, index: int) -> None:
     """Reject rules whose conditions cannot be solved left to right."""
-    bound = set(vars_of(rule.lhs))
-    for i, cond in enumerate(rule.conds):
-        loose = vars_of(cond.lhs) - bound
-        if loose:
-            names = ", ".join(sorted(str(v) for v in loose))
-            raise EngineError(
-                f"rule {index + 1} is not solvable left-to-right: condition "
-                f"{i + 1} left-hand side {cond.lhs} uses variable(s) {names} "
-                f"bound by neither the rule lhs nor earlier condition rhss"
-            )
-        bound |= vars_of(cond.rhs)
+    for i, cond, loose in loose_conditions(rule):
+        names = ", ".join(sorted(str(v) for v in loose))
+        raise EngineError(
+            f"rule {index + 1} is not solvable left-to-right: condition "
+            f"{i + 1} left-hand side {cond.lhs} uses variable(s) {names} "
+            f"bound by neither the rule lhs nor earlier condition rhss"
+        )
 
 
-def _solve_conditions(
-    conds: tuple[Condition, ...],
-    sigma: Subst,
-    n: int,
-    system: Ctrs,
-    bounds: Bounds,
-    frozen: frozenset,
-) -> tuple[frozenset[Subst], bool]:
-    partial: set[Subst] = {sigma}
-    truncated = False
-    for cond in conds:
-        nxt: set[Subst] = set()
-        for s in partial:
-            lhs_inst = apply_subst(cond.lhs, s)
-            if not is_ground(lhs_inst):
-                raise EngineError(
-                    f"condition left-hand side {lhs_inst} is not ground after "
-                    f"substitution; left-to-right solving requires ground goals"
+_NO_STEPS: tuple[frozenset[Term], bool] = (frozenset(), False)
+
+
+class Rewriter:
+    """Level-indexed rewriting in one system under one set of bounds.
+
+    Every relation at level n is built from level n-1, so each result is
+    memoised by (term, level) in tables that live as long as the Rewriter.
+    Methods whose result type has no `truncated` flag return a pair
+    (result, truncated) instead.
+    """
+
+    def __init__(self, system: Ctrs, bounds: Bounds) -> None:
+        self.bounds = bounds
+        # rules by lhs root symbol, in system order, with their indices
+        self._rules: dict[Symbol, list[tuple[int, Rule]]] = {}
+        for index, rule in enumerate(system.rules):
+            self._rules.setdefault(rule.lhs.symbol, []).append((index, rule))
+        self._solvable: set[int] = set()
+        self._roots: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
+        self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
+        self._reach: dict[tuple[Term, int], ReachSet] = {}
+        self._epar: dict[tuple[Term, int], EparSet] = {}
+
+    def solve_conditions(
+        self, conds: tuple[Condition, ...], sigma: Subst, n: int, frozen: frozenset
+    ) -> tuple[frozenset[Subst], bool]:
+        """Extensions of sigma solving conds left to right at level n,
+        binding no variable in frozen."""
+        partial: set[Subst] = {sigma}
+        truncated = False
+        for cond in conds:
+            nxt: set[Subst] = set()
+            for s in partial:
+                lhs_inst = apply_subst(cond.lhs, s)
+                if not is_ground(lhs_inst):
+                    raise EngineError(
+                        f"condition left-hand side {lhs_inst} is not ground after "
+                        f"substitution; left-to-right solving requires ground goals"
+                    )
+                rhs_inst = apply_subst(cond.rhs, s)
+                reach = self.cstep_star(lhs_inst, n)
+                truncated |= reach.truncated
+                for u in reach.terms:
+                    theta = match(rhs_inst, u)
+                    if theta is None:
+                        continue
+                    # variables of the subject being rewritten are rigid: a
+                    # binding for one would claim an instance, not the term itself
+                    if any(v in frozen for v in theta.domain):
+                        continue
+                    nxt.add(compose(s, theta))
+            partial = nxt
+            if not partial:
+                break
+        return frozenset(partial), truncated
+
+    def root_steps(self, t: Term, n: int) -> tuple[frozenset[Term], bool]:
+        """Reducts of t by one conditional root step at level n."""
+        if n <= 0 or not isinstance(t, Fun):
+            return _NO_STEPS
+        key = (t, n)
+        found = self._roots.get(key)
+        if found is not None:
+            return found
+        out: set[Term] = set()
+        truncated = False
+        rigid = None
+        for index, rule in self._rules.get(t.symbol, ()):
+            sigma = match(rule.lhs, t)
+            if sigma is None:
+                continue
+            if index not in self._solvable:
+                _check_solvable(rule, index)
+                self._solvable.add(index)
+            if rigid is None:
+                rigid = vars_of(t)
+            sols, flag = self.solve_conditions(rule.conds, sigma, n - 1, rigid)
+            truncated |= flag
+            for s in sols:
+                out.add(apply_subst(rule.rhs, s))
+        found = self._roots[key] = (frozenset(out), truncated)
+        return found
+
+    def cstep_n(self, t: Term, n: int) -> tuple[frozenset[Term], bool]:
+        """One-step reducts of t at level n: its root steps, then those of
+        each argument put back in place."""
+        if n <= 0 or not isinstance(t, Fun):
+            return _NO_STEPS
+        key = (t, n)
+        found = self._steps.get(key)
+        if found is not None:
+            return found
+        roots, truncated = self.root_steps(t, n)
+        out = set(roots)
+        args = t.args
+        for i, a in enumerate(args):
+            below, flag = self.cstep_n(a, n)
+            truncated |= flag
+            for u in below:
+                out.add(Fun(t.symbol, args[:i] + (u,) + args[i + 1 :]))
+        found = self._steps[key] = (frozenset(out), truncated)
+        return found
+
+    def cstep_star(self, t: Term, n: int) -> ReachSet:
+        """Terms reachable from t by at most max_depth level-n steps."""
+        if n <= 0:
+            return ReachSet(frozenset({t}), False)
+        key = (t, n)
+        found = self._reach.get(key)
+        if found is not None:
+            return found
+        bounds = self.bounds
+        visited: set[Term] = {t}
+        frontier: list[Term] = [t]
+        truncated = False
+        capped = False
+        for _ in range(bounds.max_depth):
+            new: list[Term] = []
+            for u in sorted(frontier, key=term_key):
+                succ, flag = self.cstep_n(u, n)
+                truncated |= flag
+                for v in sorted(succ, key=term_key):
+                    if v in visited:
+                        continue
+                    if len(visited) >= bounds.max_terms:
+                        capped = True
+                        break
+                    visited.add(v)
+                    new.append(v)
+                if capped:
+                    break
+            frontier = new
+            if capped or not frontier:
+                break
+        if capped:
+            truncated = True
+        elif frontier:
+            # depth ran out with a live frontier: flag if more was reachable
+            for u in frontier:
+                succ, _ = self.cstep_n(u, n)
+                if succ - visited:
+                    truncated = True
+                    break
+        found = self._reach[key] = ReachSet(frozenset(visited), truncated)
+        return found
+
+    def epar_successors(self, t: Term, n: int) -> EparSet:
+        """Successors of t under one parallel step at level n, with witnesses."""
+        if n <= 0:
+            # the level-0 parallel relation is the identity
+            return EparSet(((t, trivial_step(t)),), False)
+        key = (t, n)
+        cached = self._epar.get(key)
+        if cached is not None:
+            return cached
+
+        found: dict[Term, EparStep] = {t: trivial_step(t)}
+        truncated = False
+        capped = False
+        max_terms = self.bounds.max_terms
+
+        def add(u: Term, step: EparStep) -> None:
+            nonlocal capped
+            if u in found:
+                return
+            if len(found) >= max_terms:
+                capped = True
+                return
+            found[u] = step
+
+        roots, flag = self.root_steps(t, n)
+        truncated |= flag
+        for u in sorted(roots, key=term_key):
+            add(u, EparStep(HOLE, (t,), (u,), (KIND_ROOT,)))
+
+        below = self.cstep_star(t, n - 1)
+        truncated |= below.truncated
+        for u in sorted(below.terms, key=term_key):
+            add(u, EparStep(HOLE, (t,), (u,), (KIND_BELOW,)))
+
+        if isinstance(t, Fun) and t.args and not capped:
+            arg_sets = [self.epar_successors(a, n) for a in t.args]
+            truncated |= any(s.truncated for s in arg_sets)
+            for combo in itertools.product(*(s.pairs for s in arg_sets)):
+                u = Fun(t.symbol, tuple(term for term, _ in combo))
+                steps = [step for _, step in combo]
+                witness = EparStep(
+                    MFun(t.symbol, tuple(s.ctx for s in steps)),
+                    tuple(src for s in steps for src in s.sources),
+                    tuple(tgt for s in steps for tgt in s.targets),
+                    tuple(k for s in steps for k in s.kinds),
                 )
-            rhs_inst = apply_subst(cond.rhs, s)
-            reach = _cstep_star(lhs_inst, n, system, bounds)
-            truncated |= reach.truncated
-            for u in reach.terms:
-                theta = match(rhs_inst, u)
-                if theta is None:
-                    continue
-                # variables of the subject being rewritten are rigid: a
-                # binding for one would claim an instance, not the term itself
-                if any(v in frozen for v in theta.domain):
-                    continue
-                nxt.add(compose(s, theta))
-        partial = nxt
-        if not partial:
-            break
-    return frozenset(partial), truncated
+                add(u, witness)
+                if capped:
+                    break
+
+        truncated |= capped
+        pairs = tuple(sorted(found.items(), key=lambda it: term_key(it[0])))
+        result = self._epar[key] = EparSet(pairs, truncated)
+        return result
+
+
+# The module functions share one Rewriter per (system, bounds); its
+# cache_info counts public calls that found their Rewriter already built.
+_rewriter = lru_cache(maxsize=None)(Rewriter)
 
 
 def solve_conditions(
@@ -198,27 +363,8 @@ def solve_conditions(
     reducts are matched against the instantiated rhs; matches bind the rhs's
     fresh variables.  An empty result means nothing was found within bounds.
     """
-    sols, _ = _solve_conditions(tuple(conds), sigma, n, system, bounds, frozen)
+    sols, _ = _rewriter(system, bounds).solve_conditions(tuple(conds), sigma, n, frozen)
     return sols
-
-
-@lru_cache(maxsize=None)
-def _root_steps(t: Term, n: int, system: Ctrs, bounds: Bounds) -> tuple[frozenset[Term], bool]:
-    if n <= 0:
-        return frozenset(), False
-    out: set[Term] = set()
-    truncated = False
-    rigid = frozenset(vars_of(t))
-    for index, rule in enumerate(system.rules):
-        sigma = match(rule.lhs, t)
-        if sigma is None:
-            continue
-        _check_solvable(rule, index)
-        sols, flag = _solve_conditions(rule.conds, sigma, n - 1, system, bounds, rigid)
-        truncated |= flag
-        for s in sols:
-            out.add(apply_subst(rule.rhs, s))
-    return frozenset(out), truncated
 
 
 def root_steps(t: Term, n: int, system: Ctrs, bounds: Bounds) -> frozenset[Term]:
@@ -228,65 +374,14 @@ def root_steps(t: Term, n: int, system: Ctrs, bounds: Bounds) -> frozenset[Term]
     t exactly and all conditions are solved at level n.  Sound always;
     complete only up to the bounds used for condition solving.
     """
-    steps, _ = _root_steps(t, n, system, bounds)
+    steps, _ = _rewriter(system, bounds).root_steps(t, n)
     return steps
-
-
-@lru_cache(maxsize=None)
-def _cstep_n(t: Term, n: int, system: Ctrs, bounds: Bounds) -> tuple[frozenset[Term], bool]:
-    out: set[Term] = set()
-    truncated = False
-    for pos in function_positions(t):
-        sub = subterm_at(t, pos)
-        steps, flag = _root_steps(sub, n, system, bounds)
-        truncated |= flag
-        for u in steps:
-            out.add(replace_at(t, pos, u))
-    return frozenset(out), truncated
 
 
 def cstep_n(t: Term, n: int, system: Ctrs, bounds: Bounds) -> frozenset[Term]:
     """All one-step reducts of t at level n (root steps under any context)."""
-    steps, _ = _cstep_n(t, n, system, bounds)
+    steps, _ = _rewriter(system, bounds).cstep_n(t, n)
     return steps
-
-
-@lru_cache(maxsize=None)
-def _cstep_star(t: Term, n: int, system: Ctrs, bounds: Bounds) -> ReachSet:
-    if n <= 0:
-        return ReachSet(frozenset({t}), False)
-    visited: set[Term] = {t}
-    frontier: list[Term] = [t]
-    truncated = False
-    capped = False
-    for _ in range(bounds.max_depth):
-        new: list[Term] = []
-        for u in sorted(frontier, key=term_key):
-            succ, flag = _cstep_n(u, n, system, bounds)
-            truncated |= flag
-            for v in sorted(succ, key=term_key):
-                if v in visited:
-                    continue
-                if len(visited) >= bounds.max_terms:
-                    capped = True
-                    break
-                visited.add(v)
-                new.append(v)
-            if capped:
-                break
-        frontier = new
-        if capped or not frontier:
-            break
-    if capped:
-        truncated = True
-    elif frontier:
-        # depth ran out with a live frontier: flag if more was reachable
-        for u in frontier:
-            succ, _ = _cstep_n(u, n, system, bounds)
-            if succ - visited:
-                truncated = True
-                break
-    return ReachSet(frozenset(visited), truncated)
 
 
 def cstep_star(t: Term, n: int, system: Ctrs, bounds: Bounds) -> ReachSet:
@@ -295,57 +390,7 @@ def cstep_star(t: Term, n: int, system: Ctrs, bounds: Bounds) -> ReachSet:
     Breadth-first by step count, so results do not depend on traversal luck;
     always contains t itself.
     """
-    return _cstep_star(t, n, system, bounds)
-
-
-@lru_cache(maxsize=None)
-def _epar_successors(t: Term, n: int, system: Ctrs, bounds: Bounds) -> EparSet:
-    if n <= 0:
-        # the level-0 parallel relation is the identity
-        return EparSet(((t, trivial_step(t)),), False)
-
-    found: dict[Term, EparStep] = {t: trivial_step(t)}
-    truncated = False
-    capped = False
-
-    def add(u: Term, step: EparStep) -> None:
-        nonlocal capped
-        if u in found:
-            return
-        if len(found) >= bounds.max_terms:
-            capped = True
-            return
-        found[u] = step
-
-    roots, flag = _root_steps(t, n, system, bounds)
-    truncated |= flag
-    for u in sorted(roots, key=term_key):
-        add(u, EparStep(HOLE, (t,), (u,), (KIND_ROOT,)))
-
-    below = _cstep_star(t, n - 1, system, bounds)
-    truncated |= below.truncated
-    for u in sorted(below.terms, key=term_key):
-        add(u, EparStep(HOLE, (t,), (u,), (KIND_BELOW,)))
-
-    if isinstance(t, Fun) and t.args and not capped:
-        arg_sets = [_epar_successors(a, n, system, bounds) for a in t.args]
-        truncated |= any(s.truncated for s in arg_sets)
-        for combo in itertools.product(*(s.pairs for s in arg_sets)):
-            u = Fun(t.symbol, tuple(term for term, _ in combo))
-            steps = [step for _, step in combo]
-            witness = EparStep(
-                MFun(t.symbol, tuple(s.ctx for s in steps)),
-                tuple(src for s in steps for src in s.sources),
-                tuple(tgt for s in steps for tgt in s.targets),
-                tuple(k for s in steps for k in s.kinds),
-            )
-            add(u, witness)
-            if capped:
-                break
-
-    truncated |= capped
-    pairs = tuple(sorted(found.items(), key=lambda it: term_key(it[0])))
-    return EparSet(pairs, truncated)
+    return _rewriter(system, bounds).cstep_star(t, n)
 
 
 def epar_successors(t: Term, n: int, system: Ctrs, bounds: Bounds) -> EparSet:
@@ -355,7 +400,7 @@ def epar_successors(t: Term, n: int, system: Ctrs, bounds: Bounds) -> EparSet:
     over t, each hole independently doing a level-n conditional root step or
     a level-(n-1) rewrite sequence.  Level 0 relates t only to itself.
     """
-    return _epar_successors(t, n, system, bounds)
+    return _rewriter(system, bounds).epar_successors(t, n)
 
 
 def epar_check(s: Term, u: Term, n: int, system: Ctrs, bounds: Bounds) -> EparStep | None:
@@ -363,7 +408,7 @@ def epar_check(s: Term, u: Term, n: int, system: Ctrs, bounds: Bounds) -> EparSt
 
     None means "not found within bounds", never a proof of absence.
     """
-    return _epar_successors(s, n, system, bounds).witness(u)
+    return _rewriter(system, bounds).epar_successors(s, n).witness(u)
 
 
 def verify_epar_step(step: EparStep, n: int, system: Ctrs, bounds: Bounds) -> bool:
@@ -387,8 +432,5 @@ def verify_epar_step(step: EparStep, n: int, system: Ctrs, bounds: Bounds) -> bo
 
 
 def clear_caches() -> None:
-    """Drop all memoized search results (mainly useful in long test runs)."""
-    _root_steps.cache_clear()
-    _cstep_n.cache_clear()
-    _cstep_star.cache_clear()
-    _epar_successors.cache_clear()
+    """Drop the Rewriters, and so the memo tables, behind the module functions."""
+    _rewriter.cache_clear()

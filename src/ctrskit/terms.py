@@ -51,6 +51,20 @@ class Fun:
                 f"got {len(self.args)} argument(s)"
             )
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: terms are hashed on every memo
+        # lookup, and rehashing rebuilds the hash of every subterm
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.symbol, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a pickle must not carry one
+        return (Fun, (self.symbol, self.args))
+
     def __str__(self) -> str:
         return render_term(self)
 

@@ -1,0 +1,45 @@
+"""The benchmark's worker still runs against this checkout and reports every
+declared metric.
+
+`perfbench/worker.py` drives ctrskit through its public functions and, with
+tracing on, reads per-layer counts off the engine module; an engine change
+that breaks either makes the benchmark print no result.  Each run here is
+one worker process, as `perfbench/run.py` starts it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# added by run.py from the traced and untraced runs, not by a worker
+RUN_LEVEL = {"trace.ops_per_s_ratio"}
+
+
+def run_worker(workload: str, trace: int, workdir: Path) -> dict:
+    cmd = [
+        sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+        "--seed", "1", "--trace", str(trace), "--workdir", str(workdir),
+    ]
+    proc = subprocess.run(
+        cmd, cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED="0"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    return result
+
+
+def test_traced_relation_chain_reports_every_per_layer_metric(tmp_path):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {m["name"] for m in declared["per_layer"]} - RUN_LEVEL
+    result = run_worker("relation-chain", 1, tmp_path)
+    assert sorted(names - set(result["trace"])) == []
+
+
+def test_untraced_diamond_passes_its_checks(tmp_path):
+    result = run_worker("diamond", 0, tmp_path)
+    assert result["op_s"] and "trace" not in result

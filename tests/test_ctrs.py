@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from ctrskit.ctrs import (
@@ -11,12 +16,13 @@ from ctrskit.ctrs import (
     check_right_stable,
     classify_type,
     is_ground_normal_form_ru,
+    loose_conditions,
     underlying_trs,
 )
 from ctrskit.terms import Fun
 from ctrskit.unify import RenamingScope, rename_apart
 
-from conftest import A, B, F, G, X, Y, load_corpus
+from conftest import A, B, F, G, X, Y, corpus_path, load_corpus
 
 a = Fun(A)
 b = Fun(B)
@@ -95,6 +101,50 @@ def test_check_properly_oriented_uses_earlier_condition_rhss():
     assert not check_properly_oriented(bad).holds
     good = system(Rule(g(X), Y, (Condition(g(X), Y), Condition(g(Y), a))))
     assert check_properly_oriented(good).holds
+
+
+def test_binding_rule_witnesses_and_engine_errors_share_one_definition():
+    from ctrskit.engine import Bounds, EngineError, root_steps
+
+    bad = system(Rule(g(X), Y, (Condition(g(Y), a), Condition(Fun(F, (X, Y)), Y))))
+    assert [(i, str(c), loose) for i, c, loose in loose_conditions(bad.rules[0])] == [
+        (0, "g(y) == a", {Y}),
+        (1, "f(x, y) == y", {Y}),
+    ]
+    assert [w.detail for w in check_properly_oriented(bad).witnesses] == [
+        "condition 1 left-hand side g(y) uses variable(s) y not bound by the rule lhs "
+        "or earlier condition rhss",
+        "condition 2 left-hand side f(x, y) uses variable(s) y not bound by the rule lhs "
+        "or earlier condition rhss",
+    ]
+    with pytest.raises(EngineError) as err:
+        root_steps(g(a), 1, bad, Bounds())
+    assert str(err.value) == (
+        "rule 1 is not solvable left-to-right: condition 1 left-hand side g(y) uses "
+        "variable(s) y bound by neither the rule lhs nor earlier condition rhss"
+    )
+
+
+def test_pickled_systems_and_terms_rehash_in_another_process(fib):
+    # hashes of strings differ between processes, so a hash cached in one
+    # process must not travel with the pickle
+    t = fib.rules[0].lhs
+    assert hash(fib) == hash((fib.symbols, fib.rules)) and hash(t) == hash((t.symbol, t.args))
+    child = (
+        "import pickle, sys\n"
+        "from ctrskit.cops import parse\n"
+        "system, t = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = parse(open(sys.argv[1]).read()).ctrs\n"
+        "assert system in {fresh} and t in {fresh.rules[0].lhs}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(corpus_path("fib.ctrs"))],
+        input=pickle.dumps((fib, t)),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="12345"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 
 
 def test_check_right_stable(fib):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from ctrskit.engine import (
     EngineError,
     KIND_BELOW,
     KIND_ROOT,
+    Rewriter,
     cstep_n,
     cstep_star,
     epar_check,
@@ -28,6 +31,7 @@ from conftest import (
     G,
     X,
     Y,
+    corpus_path,
     load_corpus,
     naive_level_pairs,
     naive_reach,
@@ -322,3 +326,65 @@ def test_rigid_subject_variables_are_not_narrowed():
     assert root_steps(open_subject, 2, sys_, BOUNDS) == frozenset()
     closed_subject = Fun(h1, (Fun(c0),))
     assert root_steps(closed_subject, 2, sys_, BOUNDS) == {Fun(c0)}
+
+
+def test_rewriter_agrees_with_the_module_functions(fib, fib_universe):
+    rw = Rewriter(fib, BOUNDS)
+    for t in fib_universe:
+        for level in range(4):
+            assert rw.root_steps(t, level)[0] == root_steps(t, level, fib, BOUNDS)
+            assert rw.cstep_n(t, level)[0] == cstep_n(t, level, fib, BOUNDS)
+            assert rw.cstep_star(t, level) == cstep_star(t, level, fib, BOUNDS)
+            assert rw.epar_successors(t, level) == epar_successors(t, level, fib, BOUNDS)
+
+
+def test_rewriters_keep_their_own_memo(fib, fb):
+    from ctrskit.engine import clear_caches
+
+    t = fb.fib(fb.num(2))
+    one, two = Rewriter(fib, BOUNDS), Rewriter(fib, BOUNDS)
+    first = one.cstep_star(t, 2)
+    assert one.cstep_star(t, 2) is first
+    assert two.cstep_star(t, 2) is not first
+    assert two.cstep_star(t, 2) == first
+    shared = cstep_star(t, 2, fib, BOUNDS)
+    assert shared is not first
+    assert cstep_star(t, 2, fib, BOUNDS) is shared
+    clear_caches()
+    fresh = cstep_star(t, 2, fib, BOUNDS)
+    assert fresh is not shared and fresh == shared
+
+
+def test_unsolvable_rule_is_checked_only_when_it_matches():
+    # rule 1 cannot be solved left to right, but only g-rooted terms reach it
+    h = Symbol("h", 1)
+    bad = Ctrs.from_rules((Rule(g(X), X, (Condition(g(Y), a),)), Rule(a, b)), (h,))
+    assert root_steps(a, 1, bad, BOUNDS) == {b}
+    assert cstep_n(Fun(h, (a,)), 1, bad, BOUNDS) == {Fun(h, (b,))}
+    assert cstep_star(Fun(h, (a,)), 2, bad, BOUNDS).terms == {Fun(h, (a,)), Fun(h, (b,))}
+    with pytest.raises(EngineError, match="rule 1"):
+        cstep_n(g(a), 1, bad, BOUNDS)
+    with pytest.raises(EngineError, match="rule 1"):
+        root_steps(g(b), 1, bad, BOUNDS)
+
+
+def test_deep_terms_rewrite_below_the_recursion_limit():
+    # a fresh interpreter, so the test runner's own frames do not count
+    script = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[2:]\n"
+        "from conftest import FibTerms\n"
+        "from ctrskit.cops import parse\n"
+        "from ctrskit.engine import Bounds, cstep_star\n"
+        "fib = parse(open(sys.argv[1]).read()).ctrs\n"
+        "fb = FibTerms(fib)\n"
+        "t = fb.add(fb.num(250), fb.num(3))\n"
+        "reach = cstep_star(t, 3, fib, Bounds(8, 16, 100000))\n"
+        "assert t in reach and len(reach) == 17\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus_path("fib.ctrs")), *sys.path],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]

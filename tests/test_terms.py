@@ -202,3 +202,12 @@ def test_ground_terms_fib_signature_count(fib):
         c[k] = 2 * c[k - 1] + 2 * sum(c[i] * c[k - 1 - i] for i in range(1, k - 1))
     total = sum(c[k] for k in range(1, 7))
     assert len(ground_terms(fib.symbols, 6)) == total
+
+
+def test_cached_hash_is_the_structural_hash():
+    rng = random.Random(5)
+    for _ in range(100):
+        t = random_term(rng, 4)
+        if isinstance(t, Fun):
+            assert hash(t) == hash((t.symbol, t.args)) == hash(t)
+            assert hash(t) == hash(Fun(t.symbol, t.args))
