@@ -29,13 +29,13 @@ from .ctrs import (
     check_right_stable,
     classify_type,
     is_ground_normal_form_ru,
-    underlying_trs,
 )
 from .engine import Bounds, epar_successors
 from .terms import (
     Fun,
     Position,
     Subst,
+    Symbol,
     Term,
     Var,
     apply_subst,
@@ -123,7 +123,6 @@ class Verdict:
     ctrs_type: int
     properties: tuple[PropertyReport, ...]
     overlaps: tuple[OverlapDisposition, ...]
-    truncated: bool = False
 
     def prop(self, name: str) -> PropertyReport:
         for p in self.properties:
@@ -142,14 +141,21 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     Each pair, a rule paired with its own fresh variant included, is renamed
     from a fresh scope, so enumeration is deterministic: rule-index pairs in
     order, then function positions of the first lhs in left-outer order.
+    A second rule is tried only at the positions carrying its lhs root
+    symbol: no lhs is a variable, so at any other position `mgu` fails.
     """
     out: list[Overlap] = []
     for i, first in enumerate(system.rules):
+        r1, scope = rename_apart(first, RenamingScope(0))
+        at: dict[Symbol, list[Position]] = {}
+        for pos in function_positions(r1.lhs):
+            at.setdefault(subterm_at(r1.lhs, pos).symbol, []).append(pos)
         for j, second in enumerate(system.rules):
-            scope = RenamingScope(0)
-            r1, scope = rename_apart(first, scope)
-            r2, scope = rename_apart(second, scope)
-            for pos in function_positions(r1.lhs):
+            candidates = at.get(second.lhs.symbol)
+            if candidates is None:
+                continue
+            r2, _ = rename_apart(second, scope)
+            for pos in candidates:
                 unifier = mgu(subterm_at(r1.lhs, pos), r2.lhs)
                 if unifier is not None:
                     out.append(Overlap(r1, r2, i, j, pos, unifier))
@@ -159,21 +165,23 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
 _SKELETON_BASE = "_sk"
 
 
-def _fresh_skeleton_start(system: Ctrs, conds: Iterable[Condition]) -> int:
+def _fresh_skeleton_start(conds: Iterable[Condition]) -> int:
+    """The first hole index above every `_sk` variable of the conditions.
+
+    The system's own variables need no scan: every lhs `_skeleton` tries is
+    renamed apart from `RenamingScope(counter[0])`, above all holes made so
+    far, so holes only have to avoid the variables of the condition rhs.
+    """
     top = 0
-    seen = []
-    for rule in system.rules:
-        seen.extend((rule.lhs, rule.rhs))
-        seen.extend(side for c in rule.conds for side in (c.lhs, c.rhs))
-    seen.extend(side for c in conds for side in (c.lhs, c.rhs))
-    for t in seen:
-        for v in iter_vars(t):
-            if v.name == _SKELETON_BASE and v.index is not None:
-                top = max(top, v.index + 1)
+    for c in conds:
+        for side in (c.lhs, c.rhs):
+            for v in iter_vars(side):
+                if v.name == _SKELETON_BASE and v.index is not None:
+                    top = max(top, v.index + 1)
     return top
 
 
-def _skeleton(t: Term, lhss: list[Term], counter: list[int]) -> Term:
+def _skeleton(t: Term, system: Ctrs, counter: list[int]) -> Term:
     """Overapproximate every reduct of t by a constructor skeleton.
 
     Variables become fresh holes, and so does any application that some
@@ -187,11 +195,11 @@ def _skeleton(t: Term, lhss: list[Term], counter: list[int]) -> Term:
 
     if isinstance(t, Var):
         return fresh()
-    args = tuple(_skeleton(a, lhss, counter) for a in t.args)
+    args = tuple(_skeleton(a, system, counter) for a in t.args)
     u = Fun(t.symbol, args)
     scope = RenamingScope(counter[0])
-    for lhs in lhss:
-        renamed, scope = rename_term_apart(lhs, scope)
+    for _, rule in system.rules_by_symbol.get(t.symbol, ()):
+        renamed, scope = rename_term_apart(rule.lhs, scope)
         if mgu(renamed, u) is not None:
             return fresh()
     return u
@@ -210,10 +218,9 @@ def infeasible(overlap: Overlap, system: Ctrs, bounds: Bounds) -> Feasibility:
     conds = overlap.combined_conditions()
     if not conds:
         return Feasibility.unknown()
-    lhss = [lhs for lhs, _ in underlying_trs(system)]
-    counter = [_fresh_skeleton_start(system, conds)]
+    counter = [_fresh_skeleton_start(conds)]
     for cond in conds:
-        cap = _skeleton(cond.lhs, lhss, counter)
+        cap = _skeleton(cond.lhs, system, counter)
         if mgu(cap, cond.rhs) is None:
             return Feasibility.by_if1(
                 cond,
@@ -320,7 +327,6 @@ def check_level_confluence(system: Ctrs, bounds: Bounds) -> Verdict:
         ctrs_type=classify_type(system),
         properties=properties,
         overlaps=tuple(dispositions),
-        truncated=False,
     )
 
 

@@ -303,13 +303,7 @@ render = render_term
 
 
 def render_rule(rule: Rule) -> str:
-    base = f"{render_term(rule.lhs)} -> {render_term(rule.rhs)}"
-    if not rule.conds:
-        return base
-    conds = ", ".join(
-        f"{render_term(c.lhs)} == {render_term(c.rhs)}" for c in rule.conds
-    )
-    return f"{base} | {conds}"
+    return str(rule)
 
 
 def render_system(system: Ctrs) -> str:

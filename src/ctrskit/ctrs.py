@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .terms import (
     Fun,
@@ -110,6 +112,18 @@ class Ctrs:
         # string hashes differ between processes, so a pickle must not carry one
         return (Ctrs, (self.symbols, self.rules))
 
+    @cached_property
+    def rules_by_symbol(self) -> Mapping[Symbol, tuple[tuple[int, Rule], ...]]:
+        """(index, rule) pairs by lhs root symbol, each list in system order.
+
+        Built on first use and kept for the life of the system; it is not a
+        field, so equality, the hash and pickles ignore it.
+        """
+        index: dict[Symbol, list[tuple[int, Rule]]] = {}
+        for i, rule in enumerate(self.rules):
+            index.setdefault(rule.lhs.symbol, []).append((i, rule))
+        return MappingProxyType({sym: tuple(pairs) for sym, pairs in index.items()})
+
     @property
     def defined_symbols(self) -> frozenset[Symbol]:
         return frozenset(r.lhs.symbol for r in self.rules if isinstance(r.lhs, Fun))
@@ -172,10 +186,10 @@ def is_ground_normal_form_ru(t: Term, system: Ctrs) -> bool:
     """Ground, and no condition-erased rule matches any subterm."""
     if not is_ground(t):
         return False
-    lhss = [lhs for lhs, _ in underlying_trs(system)]
+    index = system.rules_by_symbol
     for sub in subterms(t):
-        for lhs in lhss:
-            if match(lhs, sub) is not None:
+        for _, rule in index.get(sub.symbol, ()):
+            if match(rule.lhs, sub) is not None:
                 return False
     return True
 

@@ -24,7 +24,6 @@ from .mctxt import HOLE, Mctxt, MFun, fill, of_term
 from .terms import (
     Fun,
     Subst,
-    Symbol,
     Term,
     apply_subst,
     compose,
@@ -155,10 +154,7 @@ class Rewriter:
 
     def __init__(self, system: Ctrs, bounds: Bounds) -> None:
         self.bounds = bounds
-        # rules by lhs root symbol, in system order, with their indices
-        self._rules: dict[Symbol, list[tuple[int, Rule]]] = {}
-        for index, rule in enumerate(system.rules):
-            self._rules.setdefault(rule.lhs.symbol, []).append((index, rule))
+        self._rules = system.rules_by_symbol
         self._solvable: set[int] = set()
         self._roots: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
         self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}

@@ -53,7 +53,8 @@ def verdict_json(verdict: Verdict, bounds: Bounds) -> dict:
         "properties": {p.name: property_json(p) for p in verdict.properties},
         "overlaps": [overlap_json(od) for od in verdict.overlaps],
         "bounds": bounds_json(bounds),
-        "truncated": verdict.truncated,
+        # the verdict needs no search, so no bound can cut it short
+        "truncated": False,
     }
 
 

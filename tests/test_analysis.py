@@ -1,5 +1,8 @@
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ctrskit.analysis import (
     DISP_EQUAL_RHS,
     DISP_IF1,
@@ -7,6 +10,10 @@ from ctrskit.analysis import (
     DISP_ROOT_VARIANT,
     DISP_UNKNOWN,
     DiamondPeak,
+    Feasibility,
+    Overlap,
+    OverlapDisposition,
+    _fresh_skeleton_start,
     check_almost_orthogonal,
     check_level_confluence,
     conditional_overlaps,
@@ -15,12 +22,32 @@ from ctrskit.analysis import (
     infeasible,
 )
 from ctrskit.cops import parse
-from ctrskit.ctrs import Ctrs
+from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.engine import Bounds, cstep_star
-from ctrskit.terms import Fun, Subst, Symbol, Var, apply_subst, ground_terms, vars_of
-from ctrskit.unify import RenamingScope, is_variant, rename_apart
+from ctrskit.terms import (
+    Fun,
+    Subst,
+    Symbol,
+    Var,
+    apply_subst,
+    function_positions,
+    ground_terms,
+    is_ground,
+    iter_vars,
+    match,
+    subterm_at,
+    subterms,
+    vars_of,
+)
+from ctrskit.unify import (
+    RenamingScope,
+    is_variant,
+    mgu,
+    rename_apart,
+    rename_term_apart,
+)
 
-from conftest import load_corpus
+from conftest import CORPUS, load_corpus
 
 BOUNDS = Bounds(max_level=8, max_depth=8, max_terms=4096)
 
@@ -294,3 +321,210 @@ def test_level_confluent_verdict_implies_no_diamond_counterexample():
         seeds = ground_terms(system.symbols, 4)
         outcome = diamond_fuzz(system, seeds, 1, 1, Bounds(8, 6, 100000))
         assert outcome.counterexample is None
+
+
+# The unindexed enumeration and IF1 test, kept as an oracle for the indexed
+# ones: every ordered rule pair renamed from a fresh scope and unified at
+# every function position, every lhs tried at every skeleton node, and hole
+# numbering that starts above every `_sk` variable of the whole system.
+
+
+def oracle_overlaps(system):
+    out = []
+    for i, first in enumerate(system.rules):
+        for j, second in enumerate(system.rules):
+            scope = RenamingScope(0)
+            r1, scope = rename_apart(first, scope)
+            r2, scope = rename_apart(second, scope)
+            for pos in function_positions(r1.lhs):
+                unifier = mgu(subterm_at(r1.lhs, pos), r2.lhs)
+                if unifier is not None:
+                    out.append(Overlap(r1, r2, i, j, pos, unifier))
+    return out
+
+
+def oracle_skeleton_start(system, conds):
+    top = 0
+    seen = []
+    for rule in system.rules:
+        seen.extend((rule.lhs, rule.rhs))
+        seen.extend(side for c in rule.conds for side in (c.lhs, c.rhs))
+    seen.extend(side for c in conds for side in (c.lhs, c.rhs))
+    for t in seen:
+        for v in iter_vars(t):
+            if v.name == "_sk" and v.index is not None:
+                top = max(top, v.index + 1)
+    return top
+
+
+def oracle_skeleton(t, lhss, counter):
+    def fresh():
+        counter[0] += 1
+        return Var("_sk", counter[0] - 1)
+
+    if isinstance(t, Var):
+        return fresh()
+    u = Fun(t.symbol, tuple(oracle_skeleton(a, lhss, counter) for a in t.args))
+    scope = RenamingScope(counter[0])
+    for lhs in lhss:
+        renamed, scope = rename_term_apart(lhs, scope)
+        if mgu(renamed, u) is not None:
+            return fresh()
+    return u
+
+
+def oracle_normal_form(t, system):
+    if not is_ground(t):
+        return False
+    return all(match(r.lhs, sub) is None for sub in subterms(t) for r in system.rules)
+
+
+def oracle_infeasible(overlap, system):
+    conds = overlap.combined_conditions()
+    if not conds:
+        return Feasibility.unknown()
+    lhss = [r.lhs for r in system.rules]
+    counter = [oracle_skeleton_start(system, conds)]
+    for cond in conds:
+        if mgu(oracle_skeleton(cond.lhs, lhss, counter), cond.rhs) is None:
+            return Feasibility.by_if1(
+                cond, f"no reduct of {cond.lhs} can have the shape of {cond.rhs}"
+            )
+    for a, b in itertools.combinations(conds, 2):
+        if a.lhs != b.lhs or a.rhs == b.rhs:
+            continue
+        if oracle_normal_form(a.rhs, system) and oracle_normal_form(b.rhs, system):
+            return Feasibility.by_if2(
+                a, b, f"{a.lhs} would have to reach both normal forms {a.rhs} and {b.rhs}"
+            )
+    return Feasibility.unknown()
+
+
+def oracle_dispositions(system):
+    out = []
+    for o in oracle_overlaps(system):
+        if o.pos == () and is_variant(o.rule1, o.rule2):
+            out.append(OverlapDisposition(o, DISP_ROOT_VARIANT))
+        elif o.pos == () and apply_subst(o.rule1.rhs, o.mgu) == apply_subst(o.rule2.rhs, o.mgu):
+            out.append(OverlapDisposition(o, DISP_EQUAL_RHS))
+        else:
+            feas = oracle_infeasible(o, system)
+            disp = DISP_UNKNOWN
+            if feas.infeasible:
+                disp = DISP_IF1 if feas.reason == "IF1" else DISP_IF2
+            out.append(OverlapDisposition(o, disp, feas))
+    return out
+
+
+def assert_matches_oracle(system):
+    got = dispose_overlaps(system, BOUNDS)
+    want = oracle_dispositions(system)
+    assert got == want
+    # equal substitutions may still differ in binding order; pin that too
+    assert [list(od.overlap.mgu.items()) for od in got] == [
+        list(od.overlap.mgu.items()) for od in want
+    ]
+    return got
+
+
+def test_indexed_enumeration_matches_oracle_on_the_corpus():
+    paths = sorted(CORPUS.glob("*.ctrs"))
+    assert paths
+    for path in paths:
+        assert_matches_oracle(parse(path.read_text(encoding="utf-8")).ctrs)
+
+
+HAND_BUILT = {
+    # one symbol at several depths of one lhs
+    "nested": "(VAR x)(RULES g(g(g(x))) -> x  g(a) -> b | a == b  g(g(b)) -> a)",
+    # a non-left-linear lhs, overlapped at the root and below it
+    "non-left-linear": (
+        "(VAR x y)(RULES f(x, x) -> a  f(g(y), y) -> b | g(y) == a  g(b) -> a)"
+    ),
+    # constants as whole lhss and as arguments
+    "constants": "(VAR x)(RULES a -> b  g(a) -> b | b == a  f(a, a) -> a  f(x, b) -> x)",
+    # g occurs below the root of the first lhs only; f is never below a root
+    "below-only": (
+        "(VAR x y)(RULES f(g(x), a) -> x | g(x) == b  g(b) -> a | b == a  "
+        "f(y, a) -> y | g(y) == a)"
+    ),
+}
+
+
+def test_indexed_enumeration_matches_oracle_on_hand_built_systems():
+    found = {}
+    for name, text in HAND_BUILT.items():
+        found[name] = assert_matches_oracle(parse_rules(text))
+    # each system really overlaps below the root, and IF1 and IF2 both occur
+    for name, dispositions in found.items():
+        assert any(od.overlap.pos != () for od in dispositions), name
+    seen = {od.disposition for ods in found.values() for od in ods}
+    assert {DISP_ROOT_VARIANT, DISP_IF1, DISP_UNKNOWN} <= seen
+
+
+SIG = (Symbol("f", 2), Symbol("g", 1), Symbol("a", 0), Symbol("b", 0))
+VARS = (Var("x"), Var("y"), Var("_sk", 0), Var("_sk", 3))
+
+
+def terms(max_leaves=6):
+    leaves = st.sampled_from(VARS + tuple(Fun(s) for s in SIG if s.arity == 0))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.builds(lambda t: Fun(SIG[1], (t,)), kids),
+            st.builds(lambda s, t: Fun(SIG[0], (s, t)), kids, kids),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+rules = st.builds(
+    lambda lhs, rhs, conds: Rule(lhs, rhs, tuple(conds)),
+    terms().filter(lambda t: isinstance(t, Fun)),
+    terms(),
+    st.lists(st.builds(Condition, terms(), terms()), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(rules, min_size=1, max_size=5))
+def test_indexed_enumeration_matches_oracle_on_random_systems(rule_list):
+    assert_matches_oracle(Ctrs.from_rules(rule_list, SIG))
+
+
+def test_skeleton_holes_only_avoid_the_overlap_conditions():
+    q, g_, s_, p, pair = (
+        Symbol("q", 1), Symbol("g", 1), Symbol("s", 1), Symbol("p", 1), Symbol("pair", 2),
+    )
+    zero, a, b, k = (Fun(Symbol(name, 0)) for name in ("0", "a", "b", "k"))
+    x = Var("x")
+
+    def sk(n):
+        return Var("_sk", n)
+
+    system = Ctrs.from_rules(
+        (
+            Rule(Fun(q, (sk(0),)), a, (Condition(Fun(g_, (sk(0),)), zero),)),
+            Rule(Fun(q, (x,)), b),
+            # renamed, the condition reads pair(k, k) == pair(s(_sk#0), _sk#0);
+            # k is reducible, so both its holes must avoid _sk#0, or the
+            # occurs check fails and the overlap is wrongly IF1
+            Rule(
+                Fun(p, (a,)),
+                a,
+                (Condition(Fun(pair, (k, k)), Fun(pair, (Fun(s_, (sk(4),)), sk(4)))),),
+            ),
+            Rule(Fun(p, (x,)), b),
+            Rule(k, b),
+            # an lhs variable above every condition's, which only the old
+            # whole-system scan saw
+            Rule(Fun(s_, (Fun(s_, (sk(9),)),)), Fun(s_, (sk(9),))),
+        )
+    )
+    got = assert_matches_oracle(system)
+    by_pair = {(od.overlap.rule1_index, od.overlap.rule2_index): od for od in got}
+    assert by_pair[(0, 1)].disposition == DISP_IF1
+    assert by_pair[(2, 3)].disposition == DISP_UNKNOWN
+    # the starts really differ, so the equal dispositions are not vacuous
+    conds = by_pair[(2, 3)].overlap.combined_conditions()
+    assert 0 < _fresh_skeleton_start(conds) < oracle_skeleton_start(system, conds)

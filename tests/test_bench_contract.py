@@ -43,3 +43,17 @@ def test_traced_relation_chain_reports_every_per_layer_metric(tmp_path):
 def test_untraced_diamond_passes_its_checks(tmp_path):
     result = run_worker("diamond", 0, tmp_path)
     assert result["op_s"] and "trace" not in result
+
+
+def test_traced_check_mix_disposes_every_overlap_through_the_index(tmp_path):
+    trace = run_worker("check-mix", 1, tmp_path)["trace"]
+    assert trace["analysis.overlaps_found"] == 1784
+    # dispose_overlaps goes through the traced public dispose_overlap
+    assert trace["analysis.dispose_overlap.calls"] == 1784
+    # the generator fixes these counts by construction
+    assert [
+        trace[f"analysis.disp.{d}"]
+        for d in ("root-variant", "equal-rhs", "infeasible-IF1", "infeasible-IF2", "unknown")
+    ] == [1180, 186, 194, 196, 28]
+    # unindexed enumeration tries about 52 unifiers per overlap found
+    assert trace["analysis.mgu_per_overlap"] < 2

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ctrskit.cops import parse
 from ctrskit.ctrs import (
     Condition,
     Ctrs,
@@ -19,7 +20,8 @@ from ctrskit.ctrs import (
     loose_conditions,
     underlying_trs,
 )
-from ctrskit.terms import Fun
+from ctrskit.engine import Bounds, Rewriter
+from ctrskit.terms import Fun, ground_terms, match, subterms
 from ctrskit.unify import RenamingScope, rename_apart
 
 from conftest import A, B, F, G, X, Y, corpus_path, load_corpus
@@ -73,6 +75,55 @@ def test_is_ground_normal_form_ru(fib, fb):
     assert not is_ground_normal_form_ru(X, fib)
     # reducible strictly below the root
     assert not is_ground_normal_form_ru(fb.s(fb.fib(fb.zero)), fib)
+
+
+def test_is_ground_normal_form_ru_agrees_with_every_rule(fib):
+    for t in ground_terms(fib.symbols, 4):
+        irreducible = all(
+            match(r.lhs, sub) is None for sub in subterms(t) for r in fib.rules
+        )
+        assert is_ground_normal_form_ru(t, fib) == irreducible, t
+
+
+def test_rules_by_symbol_is_one_cached_index_in_system_order():
+    rules = (Rule(g(X), a), Rule(Fun(F, (X, Y)), X), Rule(g(a), b), Rule(a, b))
+    sys_ = system(*rules)
+    index = sys_.rules_by_symbol
+    assert sys_.rules_by_symbol is index
+    assert dict(index) == {
+        G: ((0, rules[0]), (2, rules[2])),
+        F: ((1, rules[1]),),
+        A: ((3, rules[3]),),
+    }
+    with pytest.raises(TypeError):
+        index[B] = ()
+    # the engine shares the system's index instead of building its own
+    assert Rewriter(sys_, Bounds())._rules is index
+
+
+def test_rules_by_symbol_leaves_equality_hash_and_pickles_alone():
+    text = corpus_path("fib.ctrs").read_text(encoding="utf-8")
+    indexed, bare = parse(text).ctrs, parse(text).ctrs
+    indexed.rules_by_symbol
+    assert "rules_by_symbol" in vars(indexed) and "rules_by_symbol" not in vars(bare)
+    assert indexed == bare and hash(indexed) == hash(bare)
+    child = (
+        "import pickle, sys\n"
+        "from ctrskit.cops import parse\n"
+        "system = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = parse(open(sys.argv[1]).read()).ctrs\n"
+        "assert 'rules_by_symbol' not in vars(system)\n"
+        "assert system == fresh and hash(system) == hash(fresh)\n"
+        "assert dict(system.rules_by_symbol) == dict(fresh.rules_by_symbol)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(corpus_path("fib.ctrs"))],
+        input=pickle.dumps(indexed),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="54321"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
 
 
 def test_check_left_linear(fib):
