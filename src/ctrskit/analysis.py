@@ -364,8 +364,8 @@ def diamond_fuzz(
         lefts = epar_successors(seed, m, system, bounds)
         rights = epar_successors(seed, n, system, bounds)
         truncated |= lefts.truncated or rights.truncated
-        for t, _ in lefts.pairs:
-            for u, _ in rights.pairs:
+        for t in lefts.ordered:
+            for u in rights.ordered:
                 peaks += 1
                 if t == u:
                     continue

@@ -16,7 +16,7 @@ short the result says so via its `truncated` flag.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .ctrs import Condition, Ctrs, Rule, loose_conditions
@@ -101,32 +101,69 @@ def trivial_step(t: Term) -> EparStep:
     return EparStep(of_term(t), (), (), ())
 
 
-@dataclass(frozen=True)
-class EparSet:
-    """All parallel-step successors found, each with one witness."""
+# how a successor that rewrites inside the arguments was first reached
+_BY_ARGS = "args"
 
-    pairs: tuple[tuple[Term, EparStep], ...]
+
+@dataclass(frozen=True, eq=False)
+class EparSet:
+    """All parallel-step successors found, each with one witness.
+
+    `ordered` lists the successors in `term_key` order.  `reached_by` says
+    how each was first reached: None for the source itself, `KIND_ROOT`,
+    `KIND_BELOW`, or a step inside the arguments, whose witness combines
+    those of `args`, the successor sets of the source's arguments.
+    Witnesses are built when read, and only `pairs` keeps them, so a caller
+    that needs only the terms never builds a context.  Equality and hashing
+    are on (pairs, truncated).
+    """
+
+    source: Term
+    ordered: tuple[Term, ...]
+    reached_by: dict[Term, str | None] = field(repr=False)
+    args: tuple[EparSet, ...] = field(repr=False)
     truncated: bool
 
     @cached_property
-    def terms(self) -> frozenset[Term]:
-        return frozenset(t for t, _ in self.pairs)
+    def pairs(self) -> tuple[tuple[Term, EparStep], ...]:
+        return tuple((u, self.witness(u)) for u in self.ordered)
 
     @cached_property
-    def _by_term(self) -> dict[Term, EparStep]:
-        return dict(self.pairs)
+    def terms(self) -> frozenset[Term]:
+        return frozenset(self.reached_by)
 
-    def witness(self, t: Term) -> EparStep | None:
-        return self._by_term.get(t)
+    def witness(self, u: Term) -> EparStep | None:
+        if u not in self.reached_by:
+            return None
+        kind = self.reached_by[u]
+        if kind is None:
+            return trivial_step(u)
+        if kind is not _BY_ARGS:
+            return EparStep(HOLE, (self.source,), (u,), (kind,))
+        steps = [s.witness(a) for s, a in zip(self.args, u.args)]
+        return EparStep(
+            MFun(u.symbol, tuple(s.ctx for s in steps)),
+            tuple(src for s in steps for src in s.sources),
+            tuple(tgt for s in steps for tgt in s.targets),
+            tuple(k for s in steps for k in s.kinds),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EparSet):
+            return NotImplemented
+        return (self.pairs, self.truncated) == (other.pairs, other.truncated)
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.truncated))
 
     def __contains__(self, t: Term) -> bool:
-        return t in self.terms
+        return t in self.reached_by
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ordered)
 
 
 def _check_solvable(rule: Rule, index: int) -> None:
@@ -159,6 +196,7 @@ class Rewriter:
         self._roots: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
         self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
         self._reach: dict[tuple[Term, int], ReachSet] = {}
+        self._failed: dict[tuple[Term, int], str] = {}
         self._epar: dict[tuple[Term, int], EparSet] = {}
 
     def solve_conditions(
@@ -249,6 +287,57 @@ class Rewriter:
         found = self._reach.get(key)
         if found is not None:
             return found
+        if key in self._failed:
+            raise EngineError(self._failed[key])
+        try:
+            found = self._reach_unordered(t, n)
+        except EngineError:
+            # the ordered search decides whether, and for which rule, it raises
+            found = None
+        if found is None:
+            try:
+                found = self._reach_ordered(t, n)
+            except EngineError as exc:
+                # kept so that the ordered rerun of every enclosing search
+                # does not search again: each level would double the work
+                self._failed[key] = str(exc)
+                raise
+        self._reach[key] = found
+        return found
+
+    def _reach_unordered(self, t: Term, n: int) -> ReachSet | None:
+        """The breadth-first search of cstep_star when max_terms never cuts it,
+        so the order of expansion cannot matter; None when a round finds more
+        new terms than there is room for.
+
+        Every frontier term is expanded, so an EngineError is raised here
+        whenever the ordered search could raise one.
+        """
+        bounds = self.bounds
+        visited: set[Term] = {t}
+        frontier: set[Term] = {t}
+        truncated = False
+        for _ in range(bounds.max_depth):
+            new: set[Term] = set()
+            for u in frontier:
+                succ, flag = self.cstep_n(u, n)
+                truncated |= flag
+                new |= succ
+            new -= visited
+            if not new:
+                return ReachSet(frozenset(visited), truncated)
+            if len(new) > bounds.max_terms - len(visited):
+                return None
+            visited |= new
+            frontier = new
+        # depth ran out with a live frontier: flag if more was reachable
+        live = [self.cstep_n(u, n)[0] for u in frontier]
+        truncated |= any(not succ <= visited for succ in live)
+        return ReachSet(frozenset(visited), truncated)
+
+    def _reach_ordered(self, t: Term, n: int) -> ReachSet:
+        """The breadth-first search of cstep_star in term_key order, which
+        decides the terms kept when max_terms cuts it short."""
         bounds = self.bounds
         visited: set[Term] = {t}
         frontier: list[Term] = [t]
@@ -281,62 +370,59 @@ class Rewriter:
                 if succ - visited:
                     truncated = True
                     break
-        found = self._reach[key] = ReachSet(frozenset(visited), truncated)
-        return found
+        return ReachSet(frozenset(visited), truncated)
 
     def epar_successors(self, t: Term, n: int) -> EparSet:
         """Successors of t under one parallel step at level n, with witnesses."""
         if n <= 0:
             # the level-0 parallel relation is the identity
-            return EparSet(((t, trivial_step(t)),), False)
+            return EparSet(t, (t,), {t: None}, (), False)
         key = (t, n)
         cached = self._epar.get(key)
         if cached is not None:
             return cached
 
-        found: dict[Term, EparStep] = {t: trivial_step(t)}
+        reached_by: dict[Term, str | None] = {t: None}
         truncated = False
-        capped = False
         max_terms = self.bounds.max_terms
 
-        def add(u: Term, step: EparStep) -> None:
-            nonlocal capped
-            if u in found:
-                return
-            if len(found) >= max_terms:
-                capped = True
-                return
-            found[u] = step
+        def add(reducts: frozenset[Term], kind: str) -> bool:
+            """Record the reducts not reached yet; True if the cap stopped one."""
+            if len(reducts) > max_terms - len(reached_by):
+                # the cap can bite, so order decides which reducts get in
+                reducts = sorted(reducts, key=term_key)
+            for u in reducts:
+                if u in reached_by:
+                    continue
+                if len(reached_by) >= max_terms:
+                    return True
+                reached_by[u] = kind
+            return False
 
         roots, flag = self.root_steps(t, n)
         truncated |= flag
-        for u in sorted(roots, key=term_key):
-            add(u, EparStep(HOLE, (t,), (u,), (KIND_ROOT,)))
+        capped = add(roots, KIND_ROOT)
 
         below = self.cstep_star(t, n - 1)
         truncated |= below.truncated
-        for u in sorted(below.terms, key=term_key):
-            add(u, EparStep(HOLE, (t,), (u,), (KIND_BELOW,)))
+        capped |= add(below.terms, KIND_BELOW)
 
+        args: tuple[EparSet, ...] = ()
         if isinstance(t, Fun) and t.args and not capped:
-            arg_sets = [self.epar_successors(a, n) for a in t.args]
-            truncated |= any(s.truncated for s in arg_sets)
-            for combo in itertools.product(*(s.pairs for s in arg_sets)):
-                u = Fun(t.symbol, tuple(term for term, _ in combo))
-                steps = [step for _, step in combo]
-                witness = EparStep(
-                    MFun(t.symbol, tuple(s.ctx for s in steps)),
-                    tuple(src for s in steps for src in s.sources),
-                    tuple(tgt for s in steps for tgt in s.targets),
-                    tuple(k for s in steps for k in s.kinds),
-                )
-                add(u, witness)
-                if capped:
+            args = tuple(self.epar_successors(a, n) for a in t.args)
+            truncated |= any(s.truncated for s in args)
+            for combo in itertools.product(*(s.ordered for s in args)):
+                u = Fun(t.symbol, combo)
+                if u in reached_by:
+                    continue
+                if len(reached_by) >= max_terms:
+                    capped = True
                     break
+                reached_by[u] = _BY_ARGS
 
         truncated |= capped
-        pairs = tuple(sorted(found.items(), key=lambda it: term_key(it[0])))
-        result = self._epar[key] = EparSet(pairs, truncated)
+        ordered = tuple(sorted(reached_by, key=term_key))
+        result = self._epar[key] = EparSet(t, ordered, reached_by, args, truncated)
         return result
 
 
@@ -411,12 +497,13 @@ def verify_epar_step(step: EparStep, n: int, system: Ctrs, bounds: Bounds) -> bo
     """Replay a witness: refill the context and recheck every hole."""
     if not len(step.sources) == len(step.targets) == len(step.kinds):
         return False
+    rewriter = _rewriter(system, bounds)
     for src, tgt, kind in zip(step.sources, step.targets, step.kinds):
         if kind == KIND_ROOT:
-            if tgt not in root_steps(src, n, system, bounds):
+            if tgt not in rewriter.root_steps(src, n)[0]:
                 return False
         elif kind == KIND_BELOW:
-            if tgt not in cstep_star(src, n - 1, system, bounds).terms:
+            if tgt not in rewriter.cstep_star(src, n - 1).terms:
                 return False
         else:
             return False

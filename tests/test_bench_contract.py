@@ -57,3 +57,15 @@ def test_traced_check_mix_disposes_every_overlap_through_the_index(tmp_path):
     ] == [1180, 186, 194, 196, 28]
     # unindexed enumeration tries about 52 unifiers per overlap found
     assert trace["analysis.mgu_per_overlap"] < 2
+
+
+def test_traced_relation_chain_sorts_only_where_the_cap_can_bite(tmp_path):
+    trace = run_worker("relation-chain", 1, tmp_path)["trace"]
+    # 25533 when every search round sorted its frontier and successors
+    assert trace["terms.term_key.calls"] < 12000
+
+
+def test_traced_diamond_builds_no_witness(tmp_path):
+    trace = run_worker("diamond", 1, tmp_path)["trace"]
+    # diamond_fuzz reads successor terms only; eager witnesses took 8511 calls
+    assert trace["mctxt.of_term.calls"] == 0

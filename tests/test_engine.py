@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.engine import (
     Bounds,
     EngineError,
+    EparStep,
     KIND_BELOW,
     KIND_ROOT,
+    ReachSet,
     Rewriter,
     cstep_n,
     cstep_star,
@@ -20,8 +23,8 @@ from ctrskit.engine import (
     trivial_step,
     verify_epar_step,
 )
-from ctrskit.mctxt import HOLE, fill, hole_count
-from ctrskit.terms import Fun, Subst, Symbol, Var, ground_terms
+from ctrskit.mctxt import HOLE, MFun, fill, hole_count
+from ctrskit.terms import Fun, Subst, Symbol, Var, ground_terms, term_key
 
 from ctrskit.cops import parse as parse_text
 
@@ -388,3 +391,249 @@ def test_deep_terms_rewrite_below_the_recursion_limit():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+# The searches before they sorted only where the term cap can bite and built
+# witnesses only when read, kept as an oracle: cstep_star sorts the frontier
+# and the successors in every round, and epar_successors sorts every reduct
+# set and builds each witness as it first reaches a term.  Its
+# epar_successors returns (pairs, truncated).
+
+
+class OrderedEagerRewriter(Rewriter):
+    def cstep_star(self, t, n):
+        if n <= 0:
+            return ReachSet(frozenset({t}), False)
+        key = (t, n)
+        found = self._reach.get(key)
+        if found is not None:
+            return found
+        bounds = self.bounds
+        visited = {t}
+        frontier = [t]
+        truncated = False
+        capped = False
+        for _ in range(bounds.max_depth):
+            new = []
+            for u in sorted(frontier, key=term_key):
+                succ, flag = self.cstep_n(u, n)
+                truncated |= flag
+                for v in sorted(succ, key=term_key):
+                    if v in visited:
+                        continue
+                    if len(visited) >= bounds.max_terms:
+                        capped = True
+                        break
+                    visited.add(v)
+                    new.append(v)
+                if capped:
+                    break
+            frontier = new
+            if capped or not frontier:
+                break
+        if capped:
+            truncated = True
+        elif frontier:
+            for u in frontier:
+                succ, _ = self.cstep_n(u, n)
+                if succ - visited:
+                    truncated = True
+                    break
+        found = self._reach[key] = ReachSet(frozenset(visited), truncated)
+        return found
+
+    def epar_successors(self, t, n):
+        if n <= 0:
+            return ((t, trivial_step(t)),), False
+        key = (t, n)
+        cached = self._epar.get(key)
+        if cached is not None:
+            return cached
+        found = {t: trivial_step(t)}
+        truncated = False
+        capped = False
+        max_terms = self.bounds.max_terms
+
+        def add(u, step):
+            nonlocal capped
+            if u in found:
+                return
+            if len(found) >= max_terms:
+                capped = True
+                return
+            found[u] = step
+
+        roots, flag = self.root_steps(t, n)
+        truncated |= flag
+        for u in sorted(roots, key=term_key):
+            add(u, EparStep(HOLE, (t,), (u,), (KIND_ROOT,)))
+        below = self.cstep_star(t, n - 1)
+        truncated |= below.truncated
+        for u in sorted(below.terms, key=term_key):
+            add(u, EparStep(HOLE, (t,), (u,), (KIND_BELOW,)))
+        if isinstance(t, Fun) and t.args and not capped:
+            arg_sets = [self.epar_successors(a, n) for a in t.args]
+            truncated |= any(flag for _, flag in arg_sets)
+            for combo in itertools.product(*(pairs for pairs, _ in arg_sets)):
+                u = Fun(t.symbol, tuple(term for term, _ in combo))
+                steps = [step for _, step in combo]
+                add(
+                    u,
+                    EparStep(
+                        MFun(t.symbol, tuple(s.ctx for s in steps)),
+                        tuple(src for s in steps for src in s.sources),
+                        tuple(tgt for s in steps for tgt in s.targets),
+                        tuple(k for s in steps for k in s.kinds),
+                    ),
+                )
+                if capped:
+                    break
+        truncated |= capped
+        pairs = tuple(sorted(found.items(), key=lambda it: term_key(it[0])))
+        result = self._epar[key] = (pairs, truncated)
+        return result
+
+
+def witness_fields(pairs):
+    return [(u, w.ctx, w.sources, w.targets, w.kinds) for u, w in pairs]
+
+
+@pytest.fixture(scope="module")
+def fib_universe_6(fib):
+    # up to six nodes some level-3 reach sets hold 22 terms, so every cap
+    # below bites somewhere
+    return ground_terms(fib.symbols, 6)
+
+
+def assert_matches_oracle(system, bounds, universe):
+    """Compare a fresh Rewriter with the oracle on every term and level 0-3;
+    the number of reach sets the cap cut."""
+    rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
+    capped = 0
+    for t in universe:
+        for level in range(4):
+            reach = rw.cstep_star(t, level)
+            assert reach == oracle.cstep_star(t, level), (str(t), level)
+            succ = rw.epar_successors(t, level)
+            pairs, truncated = oracle.epar_successors(t, level)
+            assert succ.truncated == truncated, (str(t), level)
+            assert succ.ordered == tuple(u for u, _ in pairs)
+            assert witness_fields(succ.pairs) == witness_fields(pairs), (str(t), level)
+            assert [succ.witness(u) for u, _ in pairs] == [w for _, w in pairs]
+            capped += len(reach) == bounds.max_terms and reach.truncated
+    return capped
+
+
+CAPS = (BOUNDS.max_terms, 1, 2, 3, 5, 8, 13)
+
+
+@pytest.mark.parametrize("max_terms", CAPS)
+def test_searches_match_the_ordered_eager_oracle(fib, fib_universe_6, max_terms):
+    capped = assert_matches_oracle(fib, Bounds(8, 8, max_terms), fib_universe_6)
+    # below the default the cap cuts some searches, so order decides what is kept
+    assert (capped > 0) == (max_terms < BOUNDS.max_terms)
+
+
+def test_searches_match_the_ordered_eager_oracle_where_root_steps_fill_the_cap():
+    # in fib every root reduct at level n is also reached one level below,
+    # so root steps never fill the cap first; here c has eight root reducts,
+    # and d_i steps on only where c does
+    ds = [Fun(Symbol(f"d{i}", 0)) for i in range(1, 9)]
+    c, e = Fun(Symbol("c", 0)), Fun(Symbol("e", 0))
+    h, p = Symbol("h", 1), Symbol("p", 2)
+    rules = [Rule(c, d) for d in ds] + [Rule(d, e, (Condition(c, d),)) for d in ds]
+    rules.append(Rule(Fun(h, (X,)), X))
+    system = Ctrs.from_rules(rules, (h, p))
+    for max_terms in CAPS:
+        assert_matches_oracle(system, Bounds(8, 8, max_terms), ground_terms(system.symbols, 3))
+
+
+def test_depth_cut_searches_match_the_ordered_eager_oracle(fib, fib_universe_6):
+    for bounds in (Bounds(8, 1, 4096), Bounds(8, 2, 4096), Bounds(8, 2, 5)):
+        assert_matches_oracle(fib, bounds, fib_universe_6)
+
+
+def test_witnesses_are_built_on_first_use(fib, fb, monkeypatch):
+    import ctrskit.engine as engine
+
+    built = []
+    monkeypatch.setattr(engine, "of_term", lambda t: built.append(t) or HOLE)
+    rw = Rewriter(fib, BOUNDS)
+    t = fb.pair(fb.fib(fb.zero), fb.zero)
+    succ = rw.epar_successors(t, 2)
+    assert t in succ and len(succ.terms) == len(succ) > 1
+    assert built == []
+    assert succ.witness(t).ctx is HOLE and built == [t]
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except EngineError as exc:
+        return "raised", str(exc)
+    if isinstance(result, ReachSet):
+        return "reach", result
+    if isinstance(result, tuple):
+        return "epar", result
+    return "epar", (result.pairs, result.truncated)
+
+
+def unsolvable_fan(prefix):
+    """c steps to eight terms that each match a rule whose condition lhs uses
+    an unbound y, and to z, whose three reducts can fill the cap.  In
+    term_key order the eight come first, so the ordered search raises for
+    the rule of the first of them, rule 1."""
+    ks = [Symbol(f"{prefix}{i}", 1) for i in range(1, 9)]
+    c, z = Symbol("c", 0), Symbol("z", 0)
+    rules = [Rule(Fun(k, (X,)), X, (Condition(Fun(k, (Y,)), a),)) for k in ks]
+    rules += [Rule(Fun(c), Fun(k, (a,))) for k in reversed(ks)]
+    rules += [Rule(Fun(c), Fun(z))] + [Rule(Fun(z), Fun(Symbol(f"z{i}", 0))) for i in range(3)]
+    return Ctrs.from_rules(rules), Fun(c)
+
+
+def test_engine_error_matches_the_oracle_with_and_without_a_biting_cap():
+    # the unordered pass meets the eight rules in hash order, which differs
+    # per prefix, so a wrong message would show on some prefix
+    for prefix in ("k", "m", "q"):
+        system, subject = unsolvable_fan(prefix)
+        raised = set()
+        for max_terms in (BOUNDS.max_terms, *range(1, 13)):
+            bounds = Bounds(8, 8, max_terms)
+            for level in (1, 2):
+                rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
+                for query in ("cstep_star", "epar_successors"):
+                    got = _outcome(lambda: getattr(rw, query)(subject, level))
+                    want = _outcome(lambda: getattr(oracle, query)(subject, level))
+                    assert got == want, (prefix, max_terms, level, query)
+                    if got[0] == "raised":
+                        raised.add(max_terms)
+                        assert got[1].startswith("rule 1 is not solvable")
+        # from 10 terms on the eight all get in and are expanded; below 13
+        # the cap would still cut z's reducts in the round that raises
+        assert raised == {BOUNDS.max_terms, 10, 11, 12}
+
+
+def test_a_nested_engine_error_is_searched_once_per_level():
+    # h_i(x) -> x | h_(i+1)(x) == z nests one condition search per level
+    # down to a rule that cannot be solved left to right; each level's
+    # ordered rerun must not repeat the search below it, which would take
+    # 2^depth searches
+    depth = 12
+    hs = [Symbol(f"h{i}", 1) for i in range(depth + 1)]
+    rules = [
+        Rule(Fun(hs[i], (X,)), X, (Condition(Fun(hs[i + 1], (X,)), Var("z")),))
+        for i in range(depth)
+    ]
+    rules.append(Rule(Fun(hs[depth], (X,)), X, (Condition(Fun(hs[depth], (Y,)), a),)))
+    system = Ctrs.from_rules(rules)
+    calls = []
+
+    class Counting(Rewriter):
+        def root_steps(self, t, n):
+            calls.append((t, n))
+            return super().root_steps(t, n)
+
+    for rw in (Counting(system, BOUNDS), OrderedEagerRewriter(system, BOUNDS)):
+        with pytest.raises(EngineError, match=f"rule {depth + 1} is not solvable"):
+            rw.cstep_star(Fun(hs[0], (a,)), depth + 1)
+    assert len(calls) <= 3 * (depth + 1)
