@@ -29,6 +29,7 @@ from .ctrs import (
     check_right_stable,
     classify_type,
     is_ground_normal_form_ru,
+    loose_rhs_vars,
 )
 from .engine import Bounds, epar_successors
 from .terms import (
@@ -42,7 +43,6 @@ from .terms import (
     function_positions,
     iter_vars,
     subterm_at,
-    vars_of,
 )
 from .unify import RenamingScope, is_variant, mgu, rename_apart, rename_term_apart
 
@@ -295,10 +295,7 @@ def check_almost_orthogonal(system: Ctrs, bounds: Bounds) -> PropertyReport:
 def _type3_report(system: Ctrs) -> PropertyReport:
     witnesses = []
     for idx, rule in enumerate(system.rules):
-        allowed = vars_of(rule.lhs).union(
-            *((vars_of(c.lhs) | vars_of(c.rhs)) for c in rule.conds)
-        ) if rule.conds else vars_of(rule.lhs)
-        loose = vars_of(rule.rhs) - allowed
+        loose = loose_rhs_vars(rule)
         if loose:
             names = ", ".join(sorted(str(v) for v in loose))
             witnesses.append(
@@ -365,13 +362,16 @@ def diamond_fuzz(
         rights = epar_successors(seed, n, system, bounds)
         truncated |= lefts.truncated or rights.truncated
         for t in lefts.ordered:
+            join_t = None
             for u in rights.ordered:
                 peaks += 1
                 if t == u:
                     continue
-                join_t = epar_successors(t, n, system, bounds)
+                if join_t is None:
+                    join_t = epar_successors(t, n, system, bounds)
+                    truncated |= join_t.truncated
                 join_u = epar_successors(u, m, system, bounds)
-                truncated |= join_t.truncated or join_u.truncated
+                truncated |= join_u.truncated
                 if join_t.terms.isdisjoint(join_u.terms):
                     return DiamondOutcome(DiamondPeak(seed, t, u), truncated, peaks)
     return DiamondOutcome(None, truncated, peaks)

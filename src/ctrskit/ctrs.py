@@ -59,13 +59,24 @@ class Rule:
         return base + " | " + ", ".join(str(c) for c in self.conds)
 
 
-def rule_vars(r: Rule) -> Iterable[Var]:
-    """Variable occurrences of a rule, left to right: lhs, rhs, conditions."""
-    yield from iter_vars(r.lhs)
-    yield from iter_vars(r.rhs)
+def rule_terms(r: Rule) -> list[Term]:
+    """The terms of a rule, left to right: lhs, rhs, then each condition's
+    lhs and rhs."""
+    terms = [r.lhs, r.rhs]
     for c in r.conds:
-        yield from iter_vars(c.lhs)
-        yield from iter_vars(c.rhs)
+        terms += (c.lhs, c.rhs)
+    return terms
+
+
+def rule_vars(r: Rule) -> Iterable[Var]:
+    """Variable occurrences of a rule, in the order of `rule_terms`."""
+    for t in rule_terms(r):
+        yield from iter_vars(t)
+
+
+def rule_symbols(r: Rule) -> list[Symbol]:
+    """Function symbol occurrences of a rule, in the order of `rule_terms`."""
+    return [sub.symbol for t in rule_terms(r) for sub in subterms(t) if isinstance(sub, Fun)]
 
 
 @dataclass(frozen=True)
@@ -77,26 +88,16 @@ class Ctrs:
         object.__setattr__(self, "symbols", frozenset(self.symbols))
         object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
-            for t in (rule.lhs, rule.rhs) + tuple(
-                side for c in rule.conds for side in (c.lhs, c.rhs)
-            ):
-                for sub in subterms(t):
-                    if isinstance(sub, Fun) and sub.symbol not in self.symbols:
-                        raise ValueError(
-                            f"symbol {sub.symbol.name!r} not in the declared signature"
-                        )
+            for sym in rule_symbols(rule):
+                if sym not in self.symbols:
+                    raise ValueError(f"symbol {sym.name!r} not in the declared signature")
 
     @classmethod
     def from_rules(cls, rules: Iterable[Rule], extra_symbols: Iterable[Symbol] = ()) -> "Ctrs":
         rules = tuple(rules)
         syms = set(extra_symbols)
         for rule in rules:
-            for t in (rule.lhs, rule.rhs) + tuple(
-                side for c in rule.conds for side in (c.lhs, c.rhs)
-            ):
-                for sub in subterms(t):
-                    if isinstance(sub, Fun):
-                        syms.add(sub.symbol)
+            syms.update(rule_symbols(rule))
         return cls(frozenset(syms), rules)
 
     def __hash__(self) -> int:
@@ -153,6 +154,12 @@ class PropertyReport:
             raise ValueError(f"failing property {self.name!r} must carry a witness")
 
 
+def loose_rhs_vars(rule: Rule) -> frozenset[Var]:
+    """Variables of the rhs bound by neither the lhs nor any condition."""
+    bound = vars_of(rule.lhs).union(*(vars_of(c.lhs) | vars_of(c.rhs) for c in rule.conds))
+    return vars_of(rule.rhs) - bound
+
+
 def classify_type(system: Ctrs) -> int:
     """Smallest class in 1..4 by where extra variables are allowed.
 
@@ -162,18 +169,12 @@ def classify_type(system: Ctrs) -> int:
     t = 1
     for rule in system.rules:
         lv = vars_of(rule.lhs)
-        cv = frozenset().union(
-            *(vars_of(c.lhs) | vars_of(c.rhs) for c in rule.conds)
-        ) if rule.conds else frozenset()
-        rv = vars_of(rule.rhs)
-        if rv <= lv and cv <= lv:
-            continue
-        if rv <= lv:
-            t = max(t, 2)
-        elif rv <= lv | cv:
-            t = max(t, 3)
-        else:
-            return 4
+        if not vars_of(rule.rhs) <= lv:
+            if loose_rhs_vars(rule):
+                return 4
+            t = 3
+        elif t == 1 and not lv.issuperset(rule_vars(rule)):
+            t = 2
     return t
 
 

@@ -16,6 +16,7 @@ short the result says so via its `truncated` flag.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -180,6 +181,25 @@ def _check_solvable(rule: Rule, index: int) -> None:
 _NO_STEPS: tuple[frozenset[Term], bool] = (frozenset(), False)
 
 
+def _admit(found: dict[Term, str | None], terms: Collection[Term], kind: str | None,
+           max_terms: int) -> bool:
+    """Add the terms not in found, mapped to kind, while found holds fewer
+    than max_terms; True if the cap left one out.
+
+    Order decides which terms get in only when they cannot all fit, so only
+    then are they taken in term_key order.
+    """
+    if len(terms) > max_terms - len(found):
+        terms = sorted(terms, key=term_key)
+    for u in terms:
+        if u in found:
+            continue
+        if len(found) >= max_terms:
+            return True
+        found[u] = kind
+    return False
+
+
 class Rewriter:
     """Level-indexed rewriting in one system under one set of bounds.
 
@@ -194,9 +214,9 @@ class Rewriter:
         self._rules = system.rules_by_symbol
         self._solvable: set[int] = set()
         self._roots: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
-        self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
+        # a str is the text of the EngineError that expanding the term raised
+        self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool] | str] = {}
         self._reach: dict[tuple[Term, int], ReachSet] = {}
-        self._failed: dict[tuple[Term, int], str] = {}
         self._epar: dict[tuple[Term, int], EparSet] = {}
 
     def solve_conditions(
@@ -267,110 +287,93 @@ class Rewriter:
         key = (t, n)
         found = self._steps.get(key)
         if found is not None:
+            if isinstance(found, str):
+                raise EngineError(found)
             return found
-        roots, truncated = self.root_steps(t, n)
-        out = set(roots)
-        args = t.args
-        for i, a in enumerate(args):
-            below, flag = self.cstep_n(a, n)
-            truncated |= flag
-            for u in below:
-                out.add(Fun(t.symbol, args[:i] + (u,) + args[i + 1 :]))
+        try:
+            roots, truncated = self.root_steps(t, n)
+            out = set(roots)
+            args = t.args
+            for i, a in enumerate(args):
+                below, flag = self.cstep_n(a, n)
+                truncated |= flag
+                for u in below:
+                    out.add(Fun(t.symbol, args[:i] + (u,) + args[i + 1 :]))
+        except EngineError as exc:
+            # kept like a result: the term_key-ordered walk of a round that
+            # raised asks again, and so does every search that walk repeats;
+            # expanding again could double the work per level
+            self._steps[key] = str(exc)
+            raise
         found = self._steps[key] = (frozenset(out), truncated)
         return found
 
     def cstep_star(self, t: Term, n: int) -> ReachSet:
-        """Terms reachable from t by at most max_depth level-n steps."""
+        """Terms reachable from t by at most max_depth level-n steps.
+
+        Breadth-first, one round per step.  A round whose new terms fit
+        under max_terms, and whose expansions all succeed, takes them in any
+        order.  Otherwise order is observable, so the round is walked in
+        term_key order, and the walk ends the search: either the cap bites,
+        or it reaches the first term whose expansion raises.
+        """
         if n <= 0:
             return ReachSet(frozenset({t}), False)
         key = (t, n)
         found = self._reach.get(key)
         if found is not None:
             return found
-        if key in self._failed:
-            raise EngineError(self._failed[key])
-        try:
-            found = self._reach_unordered(t, n)
-        except EngineError:
-            # the ordered search decides whether, and for which rule, it raises
-            found = None
-        if found is None:
-            try:
-                found = self._reach_ordered(t, n)
-            except EngineError as exc:
-                # kept so that the ordered rerun of every enclosing search
-                # does not search again: each level would double the work
-                self._failed[key] = str(exc)
-                raise
-        self._reach[key] = found
-        return found
-
-    def _reach_unordered(self, t: Term, n: int) -> ReachSet | None:
-        """The breadth-first search of cstep_star when max_terms never cuts it,
-        so the order of expansion cannot matter; None when a round finds more
-        new terms than there is room for.
-
-        Every frontier term is expanded, so an EngineError is raised here
-        whenever the ordered search could raise one.
-        """
-        bounds = self.bounds
+        max_terms = self.bounds.max_terms
         visited: set[Term] = {t}
-        frontier: set[Term] = {t}
+        frontier: Collection[Term] = (t,)
+        previous: Collection[Term] = ()
         truncated = False
-        for _ in range(bounds.max_depth):
+        for _ in range(self.bounds.max_depth):
             new: set[Term] = set()
-            for u in frontier:
-                succ, flag = self.cstep_n(u, n)
-                truncated |= flag
-                new |= succ
-            new -= visited
-            if not new:
-                return ReachSet(frozenset(visited), truncated)
-            if len(new) > bounds.max_terms - len(visited):
-                return None
-            visited |= new
-            frontier = new
-        # depth ran out with a live frontier: flag if more was reachable
-        live = [self.cstep_n(u, n)[0] for u in frontier]
-        truncated |= any(not succ <= visited for succ in live)
-        return ReachSet(frozenset(visited), truncated)
-
-    def _reach_ordered(self, t: Term, n: int) -> ReachSet:
-        """The breadth-first search of cstep_star in term_key order, which
-        decides the terms kept when max_terms cuts it short."""
-        bounds = self.bounds
-        visited: set[Term] = {t}
-        frontier: list[Term] = [t]
-        truncated = False
-        capped = False
-        for _ in range(bounds.max_depth):
-            new: list[Term] = []
-            for u in sorted(frontier, key=term_key):
-                succ, flag = self.cstep_n(u, n)
-                truncated |= flag
-                for v in sorted(succ, key=term_key):
-                    if v in visited:
-                        continue
-                    if len(visited) >= bounds.max_terms:
-                        capped = True
+            try:
+                for u in frontier:
+                    succ, flag = self.cstep_n(u, n)
+                    truncated |= flag
+                    new |= succ
+                new -= visited
+                fits = len(new) <= max_terms - len(visited)
+            except EngineError:
+                fits = False
+            if not fits:
+                kept = dict.fromkeys(visited)
+                for u in sorted(frontier, key=term_key):
+                    if _admit(kept, self.cstep_n(u, n)[0], None, max_terms):
                         break
-                    visited.add(v)
-                    new.append(v)
-                if capped:
-                    break
-            frontier = new
-            if capped or not frontier:
+                found = ReachSet(frozenset(kept), True)
                 break
-        if capped:
-            truncated = True
-        elif frontier:
+            if not new:
+                found = ReachSet(frozenset(visited), truncated)
+                break
+            visited |= new
+            previous, frontier = frontier, new
+        else:
             # depth ran out with a live frontier: flag if more was reachable
+            try:
+                for u in frontier:
+                    self.cstep_n(u, n)
+            except EngineError:
+                if previous:
+                    # the term_key-ordered search checks the frontier in the
+                    # order it found it and stops at the first live term, so
+                    # only an error before that term is raised
+                    frontier = dict.fromkeys(
+                        v
+                        for u in sorted(previous, key=term_key)
+                        for v in sorted(self.cstep_n(u, n)[0], key=term_key)
+                        if v in frontier
+                    )
             for u in frontier:
-                succ, _ = self.cstep_n(u, n)
-                if succ - visited:
+                if not self.cstep_n(u, n)[0] <= visited:
                     truncated = True
                     break
-        return ReachSet(frozenset(visited), truncated)
+            found = ReachSet(frozenset(visited), truncated)
+        self._reach[key] = found
+        return found
 
     def epar_successors(self, t: Term, n: int) -> EparSet:
         """Successors of t under one parallel step at level n, with witnesses."""
@@ -386,26 +389,13 @@ class Rewriter:
         truncated = False
         max_terms = self.bounds.max_terms
 
-        def add(reducts: frozenset[Term], kind: str) -> bool:
-            """Record the reducts not reached yet; True if the cap stopped one."""
-            if len(reducts) > max_terms - len(reached_by):
-                # the cap can bite, so order decides which reducts get in
-                reducts = sorted(reducts, key=term_key)
-            for u in reducts:
-                if u in reached_by:
-                    continue
-                if len(reached_by) >= max_terms:
-                    return True
-                reached_by[u] = kind
-            return False
-
         roots, flag = self.root_steps(t, n)
         truncated |= flag
-        capped = add(roots, KIND_ROOT)
+        capped = _admit(reached_by, roots, KIND_ROOT, max_terms)
 
         below = self.cstep_star(t, n - 1)
         truncated |= below.truncated
-        capped |= add(below.terms, KIND_BELOW)
+        capped |= _admit(reached_by, below.terms, KIND_BELOW, max_terms)
 
         args: tuple[EparSet, ...] = ()
         if isinstance(t, Fun) and t.args and not capped:

@@ -18,10 +18,11 @@ from ctrskit.ctrs import (
     classify_type,
     is_ground_normal_form_ru,
     loose_conditions,
+    loose_rhs_vars,
     underlying_trs,
 )
 from ctrskit.engine import Bounds, Rewriter
-from ctrskit.terms import Fun, ground_terms, match, subterms
+from ctrskit.terms import Fun, Var, ground_terms, match, subterms
 from ctrskit.unify import RenamingScope, rename_apart
 
 from conftest import A, B, F, G, X, Y, corpus_path, load_corpus
@@ -55,6 +56,19 @@ def test_classify_type():
     assert classify_type(system(Rule(g(X), X, (Condition(g(Y), b),)))) == 2
     assert classify_type(system(Rule(g(X), Y, (Condition(g(X), Y),)))) == 3
     assert classify_type(Ctrs(frozenset(), ()))== 1
+
+
+def test_loose_rhs_vars_decide_type_4_and_the_type_3_witness():
+    from ctrskit.analysis import _type3_report
+
+    z = Var("z")
+    rule = Rule(g(X), Fun(F, (Y, z)), (Condition(g(X), Y),))
+    assert loose_rhs_vars(rule) == {z}
+    assert loose_rhs_vars(Rule(g(X), Y, (Condition(g(X), Y),))) == frozenset()
+    assert classify_type(system(rule)) == 4
+    assert [w.detail for w in _type3_report(system(rule)).witnesses] == [
+        "right-hand side variable(s) z bound by neither the lhs nor any condition"
+    ]
 
 
 def test_classify_type_fib(fib):
@@ -253,6 +267,21 @@ def test_signature_validation():
     orphan = Fun(B)
     with pytest.raises(ValueError):
         Ctrs(frozenset({A}), (Rule(Fun(G, (orphan,)), orphan),))
+
+
+def test_undeclared_symbol_error_names_the_first_in_rule_order():
+    # lhs, rhs, then each condition's lhs and rhs, each term root first
+    rules = (
+        (Rule(g(X), Fun(F, (X, b)), (Condition(g(b), a),)), "f"),
+        (Rule(g(X), X, (Condition(g(Fun(F, (X, b))), a), Condition(X, b))), "f"),
+        (Rule(g(X), X, (Condition(g(X), X), Condition(X, b))), "b"),
+    )
+    for rule, first in rules:
+        with pytest.raises(ValueError, match=f"^symbol '{first}' not in"):
+            Ctrs(frozenset({A, G}), (rule,))
+    # from_rules collects the symbols of every part of every rule
+    assert Ctrs.from_rules((rules[0][0],)).symbols == {A, B, F, G}
+    assert Ctrs.from_rules((rules[2][0],), (A,)).symbols == {A, B, G}
 
 
 def test_type_le_3_iff_rhs_vars_are_bound_somewhere():

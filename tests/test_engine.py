@@ -637,3 +637,80 @@ def test_a_nested_engine_error_is_searched_once_per_level():
         with pytest.raises(EngineError, match=f"rule {depth + 1} is not solvable"):
             rw.cstep_star(Fun(hs[0], (a,)), depth + 1)
     assert len(calls) <= 3 * (depth + 1)
+
+
+def assert_outcomes_match_the_oracle(system, subject, bounds, levels):
+    """cstep_star and epar_successors of subject give what the oracle gives,
+    the same EngineError text included; the outcome kinds seen."""
+    seen = set()
+    for level in levels:
+        rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
+        for query in ("cstep_star", "epar_successors"):
+            got = _outcome(lambda: getattr(rw, query)(subject, level))
+            want = _outcome(lambda: getattr(oracle, query)(subject, level))
+            assert got == want, (bounds, level, query)
+            seen.add(got[0])
+    return seen
+
+
+def test_depth_end_engine_error_matches_the_oracle():
+    # when depth runs out, the ordered search checks the frontier in the
+    # order it found it and stops at the first live term: with prefix zz,
+    # z comes first and is live, so no unsolvable rule is reached
+    for prefix, raises in (("k", True), ("zz", False)):
+        system, subject = unsolvable_fan(prefix)
+        for max_depth in (0, 1, 2):
+            for max_terms in (BOUNDS.max_terms, *range(1, 13)):
+                seen = assert_outcomes_match_the_oracle(
+                    system, subject, Bounds(8, max_depth, max_terms), (1, 2)
+                )
+                if max_depth == 1 and max_terms >= 10:
+                    assert ("raised" in seen) == raises, (prefix, max_terms)
+
+
+def test_depth_end_engine_error_follows_the_order_terms_were_found():
+    # c steps to p1 and p2, which step to bb and aa: the frontier is found
+    # as bb, aa, but aa comes first in term_key order, and only aa's rule
+    # cannot be solved left to right
+    c, e = Fun(Symbol("c", 0)), Fun(Symbol("e", 0))
+    p1, p2, aa, bb = (Fun(Symbol(name, 0)) for name in ("p1", "p2", "aa", "bb"))
+    rules = [Rule(c, p1), Rule(c, p2), Rule(p1, bb), Rule(p2, aa), Rule(bb, e)]
+    rules.append(Rule(aa, e, (Condition(Fun(Symbol("f", 1), (Y,)), e),)))
+    system = Ctrs.from_rules(rules)
+    outcomes = []
+    for max_depth in (1, 2, 3):
+        bounds = Bounds(8, max_depth, BOUNDS.max_terms)
+        assert_outcomes_match_the_oracle(system, c, bounds, (1, 2))
+        outcomes.append(_outcome(lambda: Rewriter(system, bounds).cstep_star(c, 1)))
+    assert [kind for kind, _ in outcomes] == ["reach", "reach", "raised"]
+    assert outcomes[1][1] == ReachSet(frozenset({c, p1, p2, aa, bb}), True)
+    assert outcomes[2][1].startswith("rule 6 is not solvable")
+
+
+def test_a_nested_engine_error_reached_from_two_terms_is_searched_once_per_level():
+    # g_i steps to h_i(a) and h_i(b), whose conditions both search from
+    # g_(i+1), one level down, to a rule that cannot be solved left to
+    # right; a round that raised is walked again in term_key order, and
+    # unless each expansion's error is kept, each walk repeats the search
+    # below, doubling the work per level
+    depth = 10
+    gs = [Symbol(f"g{i}", 0) for i in range(depth + 1)]
+    hs = [Symbol(f"h{i}", 1) for i in range(depth)]
+    b = Fun(B)
+    rules = []
+    for g, h, below in zip(gs, hs, gs[1:]):
+        rules += [Rule(Fun(g), Fun(h, (a,))), Rule(Fun(g), Fun(h, (b,)))]
+        rules.append(Rule(Fun(h, (X,)), X, (Condition(Fun(below), Var("z")),)))
+    rules.append(Rule(Fun(gs[depth]), a, (Condition(Fun(hs[0], (Y,)), a),)))
+    system = Ctrs.from_rules(rules)
+    calls = []
+
+    class Counting(Rewriter):
+        def root_steps(self, t, n):
+            calls.append((t, n))
+            return super().root_steps(t, n)
+
+    assert_outcomes_match_the_oracle(system, Fun(gs[0]), BOUNDS, (depth + 1,))
+    with pytest.raises(EngineError, match=f"rule {3 * depth + 1} is not solvable"):
+        Counting(system, BOUNDS).cstep_star(Fun(gs[0]), depth + 1)
+    assert len(calls) <= 4 * (depth + 1)
