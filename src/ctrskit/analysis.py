@@ -31,7 +31,7 @@ from .ctrs import (
     is_ground_normal_form_ru,
     loose_rhs_vars,
 )
-from .engine import Bounds, epar_successors
+from .engine import Bounds, EparSet, epar_successors
 from .terms import (
     Fun,
     Position,
@@ -361,6 +361,9 @@ def diamond_fuzz(
         lefts = epar_successors(seed, m, system, bounds)
         rights = epar_successors(seed, n, system, bounds)
         truncated |= lefts.truncated or rights.truncated
+        # each join is asked for at its first peak, as a walk of every
+        # (t, u) pair would, so first calls and any EngineError keep order
+        right_joins: dict[Term, EparSet] = {}
         for t in lefts.ordered:
             join_t = None
             for u in rights.ordered:
@@ -370,8 +373,10 @@ def diamond_fuzz(
                 if join_t is None:
                     join_t = epar_successors(t, n, system, bounds)
                     truncated |= join_t.truncated
-                join_u = epar_successors(u, m, system, bounds)
-                truncated |= join_u.truncated
+                join_u = right_joins.get(u)
+                if join_u is None:
+                    join_u = right_joins[u] = epar_successors(u, m, system, bounds)
+                    truncated |= join_u.truncated
                 if join_t.terms.isdisjoint(join_u.terms):
                     return DiamondOutcome(DiamondPeak(seed, t, u), truncated, peaks)
     return DiamondOutcome(None, truncated, peaks)

@@ -10,21 +10,26 @@ A source file is a sequence of blocks:
     )
     (COMMENT free text, ignored)
 
-Identifiers are runs of ``[A-Za-z0-9_'+*-]``; whitespace is insignificant.
-Symbol arities are inferred from first use and enforced afterwards.  Only
-oriented condition semantics is supported.
+Identifiers are runs of ``[A-Za-z0-9_'+*-]`` that an arrow ends, so
+``x->y`` is three tokens; whitespace is insignificant.  Errors give
+``line:column``, and only ``\n`` breaks a line.  Symbol arities are inferred
+from first use and enforced afterwards.  Only oriented condition semantics
+is supported.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ctrs import Condition, Ctrs, Rule, rule_vars
 from .terms import Fun, Symbol, Term, Var, render_term
 
-_IDENT_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_'+*-"
-)
+# optional whitespace (\s is str.isspace), then a punctuation token (group
+# 1), an identifier (2), a character no token starts with (3) or the end
+_TOKEN = re.compile(r"\s*(?:(->|==|[(),|])|((?:[A-Za-z0-9_'+*]|-(?!>))+)|(.)|\Z)")
+_PAREN = re.compile(r"[()]")
 _KEYWORDS = frozenset({"CONDITIONTYPE", "VAR", "RULES", "COMMENT"})
 _MAX_TERM_DEPTH = 200
 
@@ -50,159 +55,113 @@ class VariableAsLhsError(ParseError):
 
 @dataclass(frozen=True)
 class SourceSpec:
-    raw: str
     ctrs: Ctrs
     var_names: tuple[str, ...]
     condition_type: str = "ORIENTED"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "(", ")", "->", "==", ",", "|", "ident", "eof"
     value: str
-    line: int
-    col: int
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance()
-
-    def next_token(self) -> _Token:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return _Token("eof", "", line, col)
-        c = self.text[self.pos]
-        if c in "(),|":
-            self._advance()
-            return _Token(c, c, line, col)
-        if c == "=":
-            self._advance()
-            if self.pos < len(self.text) and self.text[self.pos] == "=":
-                self._advance()
-                return _Token("==", "==", line, col)
-            raise ParseError("expected '=='", line, col)
-        if c == "-" and self.text[self.pos : self.pos + 2] == "->":
-            self._advance()
-            self._advance()
-            return _Token("->", "->", line, col)
-        if c in _IDENT_CHARS:
-            chars = []
-            while self.pos < len(self.text):
-                c = self.text[self.pos]
-                if c not in _IDENT_CHARS:
-                    break
-                # an arrow ends the identifier: "x->y" is three tokens
-                if c == "-" and self.text[self.pos : self.pos + 2] == "->":
-                    break
-                chars.append(self._advance())
-            return _Token("ident", "".join(chars), line, col)
-        raise ParseError(f"unexpected character {c!r}", line, col)
-
-    def consume_balanced_raw(self, line: int, col: int) -> None:
-        """Skip free text up to the ')' matching an already-open '('."""
-        depth = 1
-        while self.pos < len(self.text):
-            c = self._advance()
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    return
-        raise ParseError("unterminated comment block", line, col)
+    start: int  # offset into the text
 
 
 class _Parser:
     def __init__(self, text: str, symbols: dict[str, Symbol] | None = None,
                  var_names: set[str] | None = None, strict_symbols: bool = False):
-        self.lexer = _Lexer(text)
-        self.tok = self.lexer.next_token()
+        self.text = text
+        self.pos = 0
+        self.tok = self._scan()
         self.symbols: dict[str, Symbol] = dict(symbols or {})
         self.var_names: set[str] = set(var_names or ())
         self.var_order: list[str] = sorted(self.var_names)
         self.strict_symbols = strict_symbols
         self.rules: list[Rule] = []
-        self.condition_type: str | None = None
+
+    def _at(self, offset: int) -> tuple[int, int]:
+        """Line and column of a text offset, counted only when an error needs them."""
+        return (self.text.count("\n", 0, offset) + 1,
+                offset - self.text.rfind("\n", 0, offset))
+
+    def _scan(self) -> _Token:
+        m = _TOKEN.match(self.text, self.pos)
+        self.pos = m.end()
+        group = m.lastindex
+        if group is None:
+            return _Token("eof", "", self.pos)
+        value = m[group]
+        if group == 1:
+            return _Token(value, value, m.start(1))
+        if group == 2:
+            return _Token("ident", value, m.start(2))
+        message = "expected '=='" if value == "=" else f"unexpected character {value!r}"
+        raise ParseError(message, *self._at(m.start(3)))
+
+    def _skip_comment(self, open_paren: _Token) -> None:
+        """Skip free text up to the ')' matching an already-open '('."""
+        depth = 1
+        for m in _PAREN.finditer(self.text, self.pos):
+            depth += 1 if m[0] == "(" else -1
+            if depth == 0:
+                self.pos = m.end()
+                return
+        raise ParseError("unterminated comment block", *self._at(open_paren.start))
 
     def _advance(self) -> _Token:
         tok = self.tok
-        self.tok = self.lexer.next_token()
+        self.tok = self._scan()
         return tok
 
     def _expect(self, kind: str) -> _Token:
         if self.tok.kind != kind:
             got = self.tok.value or self.tok.kind
-            raise ParseError(
-                f"expected {kind!r}, got {got!r}", self.tok.line, self.tok.col
-            )
+            raise ParseError(f"expected {kind!r}, got {got!r}", *self._at(self.tok.start))
         return self._advance()
 
-    def _intern(self, name: str, arity: int, line: int, col: int) -> Symbol:
+    def _intern(self, name: str, arity: int, tok: _Token) -> Symbol:
         known = self.symbols.get(name)
         if known is None:
             if self.strict_symbols:
-                raise ParseError(f"unknown symbol {name!r}", line, col)
+                raise ParseError(f"unknown symbol {name!r}", *self._at(tok.start))
             sym = Symbol(name, arity)
             self.symbols[name] = sym
             return sym
         if known.arity != arity:
             raise ArityConflictError(
                 f"symbol {name!r} used with arity {arity}, previously {known.arity}",
-                line,
-                col,
+                *self._at(tok.start),
             )
         return known
 
     def parse_term(self, depth: int = 0) -> Term:
         if depth > _MAX_TERM_DEPTH:
-            raise ParseError("term nesting too deep", self.tok.line, self.tok.col)
+            raise ParseError("term nesting too deep", *self._at(self.tok.start))
         tok = self._expect("ident")
         name = tok.value
         if name in _KEYWORDS:
-            raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
+            raise ParseError(f"{name!r} is reserved", *self._at(tok.start))
         if name in self.var_names:
             if self.tok.kind == "(":
                 raise ParseError(
-                    f"variable {name!r} cannot take arguments", tok.line, tok.col
+                    f"variable {name!r} cannot take arguments", *self._at(tok.start)
                 )
             return Var(name)
         if self.tok.kind != "(":
-            sym = self._intern(name, 0, tok.line, tok.col)
-            return Fun(sym)
+            return Fun(self._intern(name, 0, tok))
         self._advance()
         args = [self.parse_term(depth + 1)]
         while self.tok.kind == ",":
             self._advance()
             args.append(self.parse_term(depth + 1))
         self._expect(")")
-        sym = self._intern(name, len(args), tok.line, tok.col)
-        return Fun(sym, tuple(args))
+        return Fun(self._intern(name, len(args), tok), tuple(args))
 
     def _parse_rule(self) -> Rule:
         start = self.tok
         lhs = self.parse_term()
         if isinstance(lhs, Var):
             raise VariableAsLhsError(
-                f"rule left-hand side is the variable {lhs}", start.line, start.col
+                f"rule left-hand side is the variable {lhs}", *self._at(start.start)
             )
         self._expect("->")
         rhs = self.parse_term()
@@ -221,16 +180,16 @@ class _Parser:
         rhs = self.parse_term()
         return Condition(lhs, rhs)
 
-    def parse_file(self, raw: str) -> SourceSpec:
+    def parse_file(self) -> SourceSpec:
         if self.tok.kind == "eof":
-            raise ParseError("empty input, expected '('", self.tok.line, self.tok.col)
+            raise ParseError("empty input, expected '('", *self._at(self.tok.start))
         while self.tok.kind != "eof":
-            open_tok = self._expect("(")
-            # comments hold free text the lexer must not touch, so peek at
-            # the keyword before fetching any token from the body
+            open_paren = self._expect("(")
+            # comments hold free text the scanner must not touch, so peek at
+            # the keyword before scanning any token from the body
             if self.tok.kind == "ident" and self.tok.value == "COMMENT":
-                self.lexer.consume_balanced_raw(open_tok.line, open_tok.col)
-                self.tok = self.lexer.next_token()
+                self._skip_comment(open_paren)
+                self.tok = self._scan()
                 continue
             key = self._expect("ident")
             if key.value == "CONDITIONTYPE":
@@ -238,17 +197,15 @@ class _Parser:
                 if val.value != "ORIENTED":
                     raise UnknownConditionTypeError(
                         f"condition type {val.value!r}: only ORIENTED supported",
-                        val.line,
-                        val.col,
+                        *self._at(val.start),
                     )
-                self.condition_type = val.value
                 self._expect(")")
                 continue
             if key.value == "VAR":
                 while self.tok.kind == "ident":
                     name = self._advance().value
                     if name in _KEYWORDS:
-                        raise ParseError(f"{name!r} is reserved", key.line, key.col)
+                        raise ParseError(f"{name!r} is reserved", *self._at(key.start))
                     if name not in self.var_names:
                         self.var_names.add(name)
                         self.var_order.append(name)
@@ -257,27 +214,17 @@ class _Parser:
             if key.value == "RULES":
                 while self.tok.kind != ")":
                     if self.tok.kind == "eof":
-                        raise ParseError(
-                            "unterminated RULES block", self.tok.line, self.tok.col
-                        )
+                        raise ParseError("unterminated RULES block", *self._at(self.tok.start))
                     self.rules.append(self._parse_rule())
                 self._expect(")")
                 continue
-            raise ParseError(
-                f"unknown block keyword {key.value!r}", key.line, key.col
-            )
-        system = Ctrs.from_rules(tuple(self.rules))
-        return SourceSpec(
-            raw=raw,
-            ctrs=system,
-            var_names=tuple(self.var_order),
-            condition_type=self.condition_type or "ORIENTED",
-        )
+            raise ParseError(f"unknown block keyword {key.value!r}", *self._at(key.start))
+        return SourceSpec(Ctrs.from_rules(self.rules), tuple(self.var_order))
 
 
 def parse(text: str) -> SourceSpec:
     """Parse a full system description; raises ParseError subclasses only."""
-    return _Parser(text).parse_file(text)
+    return _Parser(text).parse_file()
 
 
 def parse_term(text: str, spec: SourceSpec) -> Term:
@@ -293,8 +240,7 @@ def parse_term(text: str, spec: SourceSpec) -> Term:
     if p.tok.kind != "eof":
         raise ParseError(
             f"trailing input after term: {p.tok.value or p.tok.kind!r}",
-            p.tok.line,
-            p.tok.col,
+            *p._at(p.tok.start),
         )
     return t
 

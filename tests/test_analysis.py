@@ -9,6 +9,7 @@ from ctrskit.analysis import (
     DISP_IF2,
     DISP_ROOT_VARIANT,
     DISP_UNKNOWN,
+    DiamondOutcome,
     DiamondPeak,
     Feasibility,
     Overlap,
@@ -23,7 +24,7 @@ from ctrskit.analysis import (
 )
 from ctrskit.cops import parse
 from ctrskit.ctrs import Condition, Ctrs, Rule
-from ctrskit.engine import Bounds, cstep_star
+from ctrskit.engine import Bounds, EngineError, cstep_star, epar_successors
 from ctrskit.terms import (
     Fun,
     Subst,
@@ -321,6 +322,67 @@ def test_level_confluent_verdict_implies_no_diamond_counterexample():
         seeds = ground_terms(system.symbols, 4)
         outcome = diamond_fuzz(system, seeds, 1, 1, Bounds(8, 6, 100000))
         assert outcome.counterexample is None
+
+
+def oracle_diamond_fuzz(system, seeds, m, n, bounds, epar):
+    """diamond_fuzz with one join query per (t, u) pair, kept as an oracle."""
+    truncated, peaks = False, 0
+    for seed in seeds:
+        lefts, rights = epar(seed, m, system, bounds), epar(seed, n, system, bounds)
+        truncated |= lefts.truncated or rights.truncated
+        for t in lefts.ordered:
+            join_t = None
+            for u in rights.ordered:
+                peaks += 1
+                if t == u:
+                    continue
+                if join_t is None:
+                    join_t = epar(t, n, system, bounds)
+                    truncated |= join_t.truncated
+                join_u = epar(u, m, system, bounds)
+                truncated |= join_u.truncated
+                if join_t.terms.isdisjoint(join_u.terms):
+                    return DiamondOutcome(DiamondPeak(seed, t, u), truncated, peaks)
+    return DiamondOutcome(None, truncated, peaks)
+
+
+def test_diamond_fuzz_asks_for_joins_in_the_oracle_order(fib, monkeypatch):
+    import ctrskit.analysis as analysis
+
+    calls = []
+
+    def recorded(t, level, system, bounds):
+        calls.append((t, level))
+        return epar_successors(t, level, system, bounds)
+
+    def run(fuzz, *args):
+        calls.clear()
+        try:
+            result = fuzz(*args)
+        except EngineError as e:
+            result = str(e)
+        return result, list(dict.fromkeys(calls))
+
+    monkeypatch.setattr(analysis, "epar_successors", recorded)
+    # k(b, b) sorts after its reducts g(b) and h(b), whose joins raise with
+    # different texts: rules 1 and 2 cannot be solved left to right
+    unsolvable = parse_rules(
+        "(VAR x y)(RULES g(x) -> x | g(y) == b  h(x) -> x | h(y) == b  "
+        "k(x, x) -> g(b)  k(x, x) -> h(b))"
+    )
+    errors = set()
+    for system, bounds in ((fib, Bounds(8, 6, 4096)), (fib, Bounds(8, 6, 3)),
+                           (load_corpus("overlap.ctrs").ctrs, BOUNDS), (unsolvable, BOUNDS)):
+        seeds = ground_terms(system.symbols, 3)
+        for m, n in itertools.product((0, 1, 2), repeat=2):
+            # one seed at a time too, as the calls of earlier seeds hide order
+            for some in [seeds] + [[seed] for seed in seeds]:
+                args = (system, some, m, n, bounds)
+                expected = run(lambda *a: oracle_diamond_fuzz(*a, recorded), *args)
+                assert run(diamond_fuzz, *args) == expected
+                if isinstance(expected[0], str):
+                    errors.add(expected[0][:6])
+    assert errors == {"rule 1", "rule 2"}
 
 
 # The unindexed enumeration and IF1 test, kept as an oracle for the indexed
