@@ -42,6 +42,7 @@ from .terms import (
     apply_subst,
     function_positions,
     iter_vars,
+    render_vars,
     subterm_at,
 )
 from .unify import RenamingScope, is_variant, mgu, rename_apart, rename_term_apart
@@ -124,12 +125,6 @@ class Verdict:
     properties: tuple[PropertyReport, ...]
     overlaps: tuple[OverlapDisposition, ...]
 
-    def prop(self, name: str) -> PropertyReport:
-        for p in self.properties:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     @property
     def failing(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.properties if not p.holds)
@@ -205,7 +200,7 @@ def _skeleton(t: Term, system: Ctrs, counter: list[int]) -> Term:
     return u
 
 
-def infeasible(overlap: Overlap, system: Ctrs, bounds: Bounds) -> Feasibility:
+def infeasible(overlap: Overlap, system: Ctrs) -> Feasibility:
     """Semi-decide that the overlap's combined conditions have no solution.
 
     IF1: some condition's reduct skeleton cannot be unified with its
@@ -243,22 +238,22 @@ def infeasible(overlap: Overlap, system: Ctrs, bounds: Bounds) -> Feasibility:
     return Feasibility.unknown()
 
 
-def dispose_overlap(overlap: Overlap, system: Ctrs, bounds: Bounds) -> OverlapDisposition:
+def dispose_overlap(overlap: Overlap, system: Ctrs) -> OverlapDisposition:
     if overlap.pos == () and is_variant(overlap.rule1, overlap.rule2):
         return OverlapDisposition(overlap, DISP_ROOT_VARIANT)
     if overlap.pos == () and apply_subst(overlap.rule1.rhs, overlap.mgu) == apply_subst(
         overlap.rule2.rhs, overlap.mgu
     ):
         return OverlapDisposition(overlap, DISP_EQUAL_RHS)
-    feas = infeasible(overlap, system, bounds)
+    feas = infeasible(overlap, system)
     if feas.infeasible:
         disp = DISP_IF1 if feas.reason == IF1 else DISP_IF2
         return OverlapDisposition(overlap, disp, feas)
     return OverlapDisposition(overlap, DISP_UNKNOWN, feas)
 
 
-def dispose_overlaps(system: Ctrs, bounds: Bounds) -> list[OverlapDisposition]:
-    return [dispose_overlap(o, system, bounds) for o in conditional_overlaps(system)]
+def dispose_overlaps(system: Ctrs) -> list[OverlapDisposition]:
+    return [dispose_overlap(o, system) for o in conditional_overlaps(system)]
 
 
 def _almost_orthogonal_report(
@@ -280,16 +275,14 @@ def _almost_orthogonal_report(
     return PropertyReport("almost-orthogonal", not witnesses, tuple(witnesses))
 
 
-def check_almost_orthogonal(system: Ctrs, bounds: Bounds) -> PropertyReport:
+def check_almost_orthogonal(system: Ctrs) -> PropertyReport:
     """Left-linear, and every overlap dispatched.
 
     A harmless root overlap is one between variants of the same rule or one
     whose instantiated right-hand sides are syntactically equal; every other
     overlap must be infeasible.
     """
-    return _almost_orthogonal_report(
-        check_left_linear(system), dispose_overlaps(system, bounds)
-    )
+    return _almost_orthogonal_report(check_left_linear(system), dispose_overlaps(system))
 
 
 def _type3_report(system: Ctrs) -> PropertyReport:
@@ -297,7 +290,7 @@ def _type3_report(system: Ctrs) -> PropertyReport:
     for idx, rule in enumerate(system.rules):
         loose = loose_rhs_vars(rule)
         if loose:
-            names = ", ".join(sorted(str(v) for v in loose))
+            names = render_vars(loose)
             witnesses.append(
                 Witness(
                     idx,
@@ -308,9 +301,13 @@ def _type3_report(system: Ctrs) -> PropertyReport:
     return PropertyReport("type-3", not witnesses, tuple(witnesses))
 
 
-def check_level_confluence(system: Ctrs, bounds: Bounds) -> Verdict:
-    """Apply the level-confluence criterion and collect the evidence trail."""
-    dispositions = dispose_overlaps(system, bounds)
+def check_level_confluence(system: Ctrs) -> Verdict:
+    """Apply the level-confluence criterion and collect the evidence trail.
+
+    Every check is syntactic, so the verdict runs no rewriting search and
+    takes no bounds.
+    """
+    dispositions = dispose_overlaps(system)
     left_linear = check_left_linear(system)
     properties = (
         _type3_report(system),
@@ -357,26 +354,27 @@ def diamond_fuzz(
     """
     truncated = False
     peaks = 0
+    # one table for the whole call: a join is asked for at its first peak,
+    # as a walk of every (t, u) pair would, so first calls and any
+    # EngineError keep order, and each truncated flag is read once
+    joins: dict[tuple[Term, int], EparSet] = {}
+
+    def successors(t: Term, level: int) -> EparSet:
+        nonlocal truncated
+        found = joins.get((t, level))
+        if found is None:
+            found = joins[t, level] = epar_successors(t, level, system, bounds)
+            truncated |= found.truncated
+        return found
+
     for seed in seeds:
-        lefts = epar_successors(seed, m, system, bounds)
-        rights = epar_successors(seed, n, system, bounds)
-        truncated |= lefts.truncated or rights.truncated
-        # each join is asked for at its first peak, as a walk of every
-        # (t, u) pair would, so first calls and any EngineError keep order
-        right_joins: dict[Term, EparSet] = {}
+        lefts = successors(seed, m)
+        rights = successors(seed, n)
         for t in lefts.ordered:
-            join_t = None
             for u in rights.ordered:
                 peaks += 1
                 if t == u:
                     continue
-                if join_t is None:
-                    join_t = epar_successors(t, n, system, bounds)
-                    truncated |= join_t.truncated
-                join_u = right_joins.get(u)
-                if join_u is None:
-                    join_u = right_joins[u] = epar_successors(u, m, system, bounds)
-                    truncated |= join_u.truncated
-                if join_t.terms.isdisjoint(join_u.terms):
+                if successors(t, n).terms.isdisjoint(successors(u, m).terms):
                     return DiamondOutcome(DiamondPeak(seed, t, u), truncated, peaks)
     return DiamondOutcome(None, truncated, peaks)

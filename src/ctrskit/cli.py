@@ -118,7 +118,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = _load(args.file)
     bounds = _bounds(args)
-    verdict = check_level_confluence(spec.ctrs, bounds)
+    verdict = check_level_confluence(spec.ctrs)
     _emit(args, reports.verdict_json(verdict, bounds), reports.verdict_text(verdict))
     if args.strict and not verdict.level_confluent:
         return 1
@@ -145,7 +145,7 @@ def _cmd_props(args: argparse.Namespace) -> int:
 def _cmd_overlaps(args: argparse.Namespace) -> int:
     spec = _load(args.file)
     bounds = _bounds(args)
-    dispositions = dispose_overlaps(spec.ctrs, bounds)
+    dispositions = dispose_overlaps(spec.ctrs)
     _emit(
         args,
         reports.overlaps_json(dispositions, bounds),

@@ -68,14 +68,15 @@ class _Token(NamedTuple):
 
 class _Parser:
     def __init__(self, text: str, symbols: dict[str, Symbol] | None = None,
-                 var_names: set[str] | None = None, strict_symbols: bool = False):
+                 var_names: set[str] | None = None):
         self.text = text
         self.pos = 0
         self.tok = self._scan()
         self.symbols: dict[str, Symbol] = dict(symbols or {})
         self.var_names: set[str] = set(var_names or ())
         self.var_order: list[str] = sorted(self.var_names)
-        self.strict_symbols = strict_symbols
+        # a given signature is closed: terms may not extend it
+        self.closed = symbols is not None
         self.rules: list[Rule] = []
 
     def _at(self, offset: int) -> tuple[int, int]:
@@ -121,7 +122,7 @@ class _Parser:
     def _intern(self, name: str, arity: int, tok: _Token) -> Symbol:
         known = self.symbols.get(name)
         if known is None:
-            if self.strict_symbols:
+            if self.closed:
                 raise ParseError(f"unknown symbol {name!r}", *self._at(tok.start))
             sym = Symbol(name, arity)
             self.symbols[name] = sym
@@ -234,8 +235,7 @@ def parse_term(text: str, spec: SourceSpec) -> Term:
     extend the signature.
     """
     table = {s.name: s for s in spec.ctrs.symbols}
-    p = _Parser(text, symbols=table, var_names=set(spec.var_names),
-                strict_symbols=True)
+    p = _Parser(text, symbols=table, var_names=set(spec.var_names))
     t = p.parse_term()
     if p.tok.kind != "eof":
         raise ParseError(

@@ -27,6 +27,7 @@ from .terms import (
     iter_vars,
     match,
     render_term,
+    render_vars,
     subterms,
     vars_of,
 )
@@ -200,7 +201,7 @@ def check_left_linear(system: Ctrs) -> PropertyReport:
     for idx, rule in enumerate(system.rules):
         dups = [v for v, n in Counter(iter_vars(rule.lhs)).items() if n > 1]
         if dups:
-            names = ", ".join(sorted(str(v) for v in dups))
+            names = render_vars(dups)
             witnesses.append(
                 Witness(idx, f"variable(s) {names} repeated in left-hand side {rule.lhs}")
             )
@@ -234,7 +235,7 @@ def check_properly_oriented(system: Ctrs) -> PropertyReport:
         if vars_of(rule.rhs) <= vars_of(rule.lhs):
             continue
         for i, cond, loose in loose_conditions(rule):
-            names = ", ".join(sorted(str(v) for v in loose))
+            names = render_vars(loose)
             witnesses.append(
                 Witness(
                     idx,
@@ -261,7 +262,7 @@ def check_right_stable(system: Ctrs) -> PropertyReport:
             seen |= vars_of(cond.lhs)
             shared = seen & vars_of(cond.rhs)
             if shared:
-                names = ", ".join(sorted(str(v) for v in shared))
+                names = render_vars(shared)
                 witnesses.append(
                     Witness(
                         idx,

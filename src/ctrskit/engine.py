@@ -30,6 +30,7 @@ from .terms import (
     compose,
     is_ground,
     match,
+    render_vars,
     term_key,
     vars_of,
 )
@@ -170,7 +171,7 @@ class EparSet:
 def _check_solvable(rule: Rule, index: int) -> None:
     """Reject rules whose conditions cannot be solved left to right."""
     for i, cond, loose in loose_conditions(rule):
-        names = ", ".join(sorted(str(v) for v in loose))
+        names = render_vars(loose)
         raise EngineError(
             f"rule {index + 1} is not solvable left-to-right: condition "
             f"{i + 1} left-hand side {cond.lhs} uses variable(s) {names} "

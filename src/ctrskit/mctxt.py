@@ -41,13 +41,8 @@ class MFun:
     symbol: Symbol
     args: tuple["Mctxt", ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.symbol.arity:
-            raise ValueError(
-                f"symbol {self.symbol.name!r} has arity {self.symbol.arity}, "
-                f"got {len(self.args)} argument(s)"
-            )
+    # the same arity check as a term's
+    __post_init__ = Fun.__post_init__
 
     def __str__(self) -> str:
         if not self.args:

@@ -6,6 +6,8 @@ down; Python-level indices stay 0-based.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .analysis import OverlapDisposition, Verdict
 from .ctrs import PropertyReport, Witness
 from .engine import Bounds
@@ -15,11 +17,7 @@ VERDICT_NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
 def bounds_json(bounds: Bounds) -> dict:
-    return {
-        "max_level": bounds.max_level,
-        "max_depth": bounds.max_depth,
-        "max_terms": bounds.max_terms,
-    }
+    return dataclasses.asdict(bounds)
 
 
 def witness_json(w: Witness) -> dict:

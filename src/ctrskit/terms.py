@@ -82,6 +82,11 @@ def render_term(t: Term) -> str:
     return f"{t.symbol.name}({', '.join(render_term(a) for a in t.args)})"
 
 
+def render_vars(vs: Iterable[Var]) -> str:
+    """Variables for a message: rendered, sorted and comma-separated."""
+    return ", ".join(sorted(str(v) for v in vs))
+
+
 class Subst:
     """A finite map from variables to terms, the identity outside its domain.
 

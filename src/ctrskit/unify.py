@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ctrs import Condition, Rule, rule_vars
+from .ctrs import Condition, Rule, rule_terms, rule_vars
 from .terms import Fun, Subst, Term, Var, apply_subst, compose, iter_vars
 
 
@@ -119,11 +119,8 @@ def is_variant(r1: Rule, r2: Rule) -> bool:
     fwd: dict[Var, Var] = {}
     bwd: dict[Var, Var] = {}
     try:
-        _variant_walk(r1.lhs, r2.lhs, fwd, bwd)
-        _variant_walk(r1.rhs, r2.rhs, fwd, bwd)
-        for c1, c2 in zip(r1.conds, r2.conds):
-            _variant_walk(c1.lhs, c2.lhs, fwd, bwd)
-            _variant_walk(c1.rhs, c2.rhs, fwd, bwd)
+        for a, b in zip(rule_terms(r1), rule_terms(r2)):
+            _variant_walk(a, b, fwd, bwd)
         return True
     except _NotVariant:
         return False

@@ -253,11 +253,10 @@ def test_criterion_6_unification_suite():
 
 def test_criterion_7_infeasibility_cross_check():
     started = time.monotonic()
-    bounds = Bounds(max_level=8, max_depth=8, max_terms=4096)
     marked = 0
     for name in ALL_CORPUS:
         system = load_corpus(name).ctrs
-        for od in dispose_overlaps(system, bounds):
+        for od in dispose_overlaps(system):
             if od.disposition not in (DISP_IF1, DISP_IF2):
                 continue
             marked += 1

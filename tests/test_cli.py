@@ -173,11 +173,10 @@ def test_render_report_views(capsys):
     from ctrskit.analysis import check_level_confluence
     from ctrskit.cops import parse
     from ctrskit.ctrs import check_left_linear
-    from ctrskit.engine import Bounds
     from ctrskit.reports import render_report
 
     spec = parse(corpus_path("fib.ctrs").read_text(encoding="utf-8"))
-    verdict = check_level_confluence(spec.ctrs, Bounds())
+    verdict = check_level_confluence(spec.ctrs)
     assert render_report(verdict).startswith("YES (level-confluent)")
     assert render_report(check_left_linear(spec.ctrs)).startswith(
         "property left-linear: holds"

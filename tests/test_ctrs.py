@@ -25,10 +25,11 @@ from ctrskit.engine import Bounds, Rewriter
 from ctrskit.terms import Fun, Var, ground_terms, match, subterms
 from ctrskit.unify import RenamingScope, rename_apart
 
-from conftest import A, B, F, G, X, Y, corpus_path, load_corpus
+from conftest import A, B, F, G, X, Y, Z, corpus_path, load_corpus
 
 a = Fun(A)
 b = Fun(B)
+X1 = Var("x", 1)
 
 
 def g(t):
@@ -68,6 +69,10 @@ def test_loose_rhs_vars_decide_type_4_and_the_type_3_witness():
     assert classify_type(system(rule)) == 4
     assert [w.detail for w in _type3_report(system(rule)).witnesses] == [
         "right-hand side variable(s) z bound by neither the lhs nor any condition"
+    ]
+    # a variable set is listed sorted by rendered name
+    assert [w.detail for w in _type3_report(system(Rule(g(X), Fun(F, (Y, X1))))).witnesses] == [
+        "right-hand side variable(s) x#1, y bound by neither the lhs nor any condition"
     ]
 
 
@@ -145,6 +150,12 @@ def test_check_left_linear(fib):
     bad = check_left_linear(system(Rule(Fun(F, (X, X)), X)))
     assert not bad.holds
     assert bad.witnesses[0].rule_index == 0
+    # the repeated variables are listed sorted by name, not by occurrence
+    twice = Fun(F, (Y, X1))
+    report = check_left_linear(system(Rule(Fun(F, (twice, twice)), Y)))
+    assert [w.detail for w in report.witnesses] == [
+        "variable(s) x#1, y repeated in left-hand side f(f(y, x#1), f(y, x#1))"
+    ]
     assert check_left_linear(Ctrs(frozenset(), ())).holds
 
 
@@ -188,6 +199,18 @@ def test_binding_rule_witnesses_and_engine_errors_share_one_definition():
         "rule 1 is not solvable left-to-right: condition 1 left-hand side g(y) uses "
         "variable(s) y bound by neither the rule lhs nor earlier condition rhss"
     )
+    # a variable set is listed sorted by rendered name
+    two = system(Rule(g(X), Z, (Condition(Fun(F, (Y, X1)), Z),)))
+    assert [w.detail for w in check_properly_oriented(two).witnesses] == [
+        "condition 1 left-hand side f(y, x#1) uses variable(s) x#1, y not bound by "
+        "the rule lhs or earlier condition rhss"
+    ]
+    with pytest.raises(EngineError) as err:
+        root_steps(g(a), 1, two, Bounds())
+    assert str(err.value) == (
+        "rule 1 is not solvable left-to-right: condition 1 left-hand side f(y, x#1) "
+        "uses variable(s) x#1, y bound by neither the rule lhs nor earlier condition rhss"
+    )
 
 
 def test_pickled_systems_and_terms_rehash_in_another_process(fib):
@@ -218,7 +241,16 @@ def test_check_right_stable(fib):
     report = check_right_stable(shares)
     assert not report.holds and report.witnesses[0].rule_index == 0
     nonlinear_rhs = system(Rule(g(X), Y, (Condition(X, Fun(F, (Y, Y))),)))
-    assert not check_right_stable(nonlinear_rhs).holds
+    assert [w.detail for w in check_right_stable(nonlinear_rhs).witnesses] == [
+        "condition 1 right-hand side f(y, y) is neither a linear constructor term "
+        "nor a ground normal form of the condition-erased system"
+    ]
+    # f is a constructor here, so sharing is the only fault
+    shares_two = system(Rule(g(Fun(F, (Y, X1))), Y, (Condition(g(Y), Fun(F, (X1, Y))),)))
+    assert [w.detail for w in check_right_stable(shares_two).witnesses] == [
+        "condition 1 right-hand side f(x#1, y) shares variable(s) x#1, y with "
+        "earlier parts of the rule"
+    ]
 
 
 def test_right_stable_accepts_ground_normal_form_rhs():

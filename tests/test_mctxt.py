@@ -36,6 +36,16 @@ def cg(t):
     return MFun(G, (t,))
 
 
+def test_mfun_arity_check_is_funs():
+    with pytest.raises(ValueError) as fun_err:
+        Fun(G, (a, b))
+    with pytest.raises(ValueError) as mfun_err:
+        MFun(G, (ca, cb))
+    assert str(mfun_err.value) == str(fun_err.value) == "symbol 'g' has arity 1, got 2 argument(s)"
+    # the arguments are still made a tuple first
+    assert MFun(F, [ca, HOLE]).args == (ca, HOLE)
+
+
 def test_hole_count():
     assert hole_count(HOLE) == 1
     assert hole_count(cf(HOLE, ca)) == 1
