@@ -40,8 +40,8 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    function_positions,
     iter_vars,
+    positioned_subterms,
     render_vars,
     subterm_at,
 )
@@ -142,16 +142,17 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     out: list[Overlap] = []
     for i, first in enumerate(system.rules):
         r1, scope = rename_apart(first, RenamingScope(0))
-        at: dict[Symbol, list[Position]] = {}
-        for pos in function_positions(r1.lhs):
-            at.setdefault(subterm_at(r1.lhs, pos).symbol, []).append(pos)
+        at: dict[Symbol, list[tuple[Position, Fun]]] = {}
+        for pos, sub in positioned_subterms(r1.lhs):
+            if isinstance(sub, Fun):
+                at.setdefault(sub.symbol, []).append((pos, sub))
         for j, second in enumerate(system.rules):
             candidates = at.get(second.lhs.symbol)
             if candidates is None:
                 continue
             r2, _ = rename_apart(second, scope)
-            for pos in candidates:
-                unifier = mgu(subterm_at(r1.lhs, pos), r2.lhs)
+            for pos, sub in candidates:
+                unifier = mgu(sub, r2.lhs)
                 if unifier is not None:
                     out.append(Overlap(r1, r2, i, j, pos, unifier))
     return out

@@ -3,7 +3,8 @@
 Subcommands: check, props, overlaps, rewrite, epar, diamond.  Shared flags
 (--max-level, --max-depth, --max-terms, --json) are accepted by every
 subcommand.  Exit codes: 0 a verdict or result was produced, 1 the verdict
-was NOT_APPLICABLE and --strict was given, 2 bad input.
+was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
+nested too deeply for the walks that still recurse.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all ground seed terms up to this size")
 
     return parser
+
+
+# built once: parsing reads the parser and never changes it
+_PARSER = build_parser()
 
 
 def _bounds(args: argparse.Namespace, max_depth: int | None = None) -> Bounds:
@@ -246,12 +251,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, EngineError, CliError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        print("error: term nesting exceeds Python's recursion limit", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -4,6 +4,12 @@ Terms are immutable values with structural equality.  A variable carries a
 base name plus an optional natural-number index; renaming machinery only ever
 bumps the index, so parser-made variables (index ``None``) never collide with
 renamed ones.  Positions are 1-indexed paths, the root being the empty tuple.
+
+The walks that only read a term are stack loops, `subterms` and
+`positioned_subterms` or walks read off them, so they work on terms nested
+deeper than Python's recursion limit.  The walks that build bottom-up
+(`apply_subst`, `replace_at`, `render_term`) still recurse, as do the
+dataclass `==` and the first hash of a term.
 """
 
 from __future__ import annotations
@@ -138,11 +144,14 @@ class Subst:
 
 def iter_vars(t: Term) -> Iterator[Var]:
     """Left-to-right occurrences of variables, with repetitions."""
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from iter_vars(a)
+    # the loop of `subterms`, keeping variables: cheaper than filtering it
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            yield u
+        elif u.args:
+            stack += u.args[::-1]
 
 
 def vars_of(t: Term) -> frozenset[Var]:
@@ -160,18 +169,12 @@ def is_linear(t: Term) -> bool:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return next(iter_vars(t), None) is None
 
 
 def is_constructor_term(t: Term, defined: frozenset[Symbol] | set[Symbol]) -> bool:
     """True iff no function node of t carries a symbol from `defined`."""
-    if isinstance(t, Var):
-        return True
-    if t.symbol in defined:
-        return False
-    return all(is_constructor_term(a, defined) for a in t.args)
+    return all(isinstance(u, Var) or u.symbol not in defined for u in subterms(t))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -202,39 +205,34 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
     return Fun(t.symbol, tuple(args))
 
 
+def subterms(t: Term) -> Iterator[Term]:
+    """Every subterm of t in preorder: root first, arguments left to right."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, Fun):
+            stack += u.args[::-1]
+
+
+def positioned_subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """`(p, subterm_at(t, p))` for every position p of t, in preorder."""
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        p, u = stack.pop()
+        yield p, u
+        if isinstance(u, Fun) and u.args:
+            stack += [(p + (i,), u.args[i - 1]) for i in range(len(u.args), 0, -1)]
+
+
 def positions(t: Term) -> list[Position]:
     """All positions of t, root first, arguments left to right."""
-    out: list[Position] = []
-
-    def walk(u: Term, prefix: Position) -> None:
-        out.append(prefix)
-        if isinstance(u, Fun):
-            for i, a in enumerate(u.args, start=1):
-                walk(a, prefix + (i,))
-
-    walk(t, ())
-    return out
+    return [p for p, _ in positioned_subterms(t)]
 
 
 def function_positions(t: Term) -> list[Position]:
     """Positions whose subterm is a function application, in left-outer order."""
-    out: list[Position] = []
-
-    def walk(u: Term, prefix: Position) -> None:
-        if isinstance(u, Fun):
-            out.append(prefix)
-            for i, a in enumerate(u.args, start=1):
-                walk(a, prefix + (i,))
-
-    walk(t, ())
-    return out
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, Fun):
-        for a in t.args:
-            yield from subterms(a)
+    return [p for p, u in positioned_subterms(t) if isinstance(u, Fun)]
 
 
 def apply_subst(t: Term, s: Subst) -> Term:
@@ -278,16 +276,20 @@ def compose(s1: Subst, s2: Subst) -> Subst:
 
 def term_size(t: Term) -> int:
     """Number of nodes, variables included."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return sum(1 for _ in subterms(t))
 
 
-def term_key(t: Term):
-    """A total-order key on terms, used wherever deterministic output matters."""
-    if isinstance(t, Var):
-        return (0, t.name, -1 if t.index is None else t.index)
-    return (1, t.symbol.name, t.symbol.arity, tuple(term_key(a) for a in t.args))
+def term_key(t: Term) -> tuple:
+    """A total-order key on terms, used wherever deterministic output matters.
+
+    The preorder sequence of node keys: arities make it prefix-free, so it
+    orders terms as the nested key (node, then argument keys) would.
+    """
+    return tuple([
+        (0, u.name, -1 if u.index is None else u.index) if isinstance(u, Var)
+        else (1, u.symbol.name, u.symbol.arity)
+        for u in subterms(t)
+    ])
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

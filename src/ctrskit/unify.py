@@ -8,6 +8,7 @@ construction and the whole pipeline stays reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ctrs import Condition, Rule, rule_terms, rule_vars
 from .terms import Fun, Subst, Term, Var, apply_subst, compose, iter_vars
@@ -20,12 +21,6 @@ class RenamingScope:
     def __post_init__(self) -> None:
         if self.next_index < 0:
             raise ValueError("renaming indices are natural numbers")
-
-
-def _occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == v
-    return any(_occurs(v, a) for a in t.args)
 
 
 def mgu(s: Term, t: Term) -> Subst | None:
@@ -43,11 +38,11 @@ def mgu(s: Term, t: Term) -> Subst | None:
         if a == b:
             continue
         if isinstance(a, Var):
-            if _occurs(a, b):
+            if a in iter_vars(b):
                 return None
             sigma = compose(sigma, Subst({a: b}))
         elif isinstance(b, Var):
-            if _occurs(b, a):
+            if b in iter_vars(a):
                 return None
             sigma = compose(sigma, Subst({b: a}))
         elif a.symbol == b.symbol:
@@ -87,40 +82,31 @@ def rename_apart(rule: Rule, scope: RenamingScope) -> tuple[Rule, RenamingScope]
     return renamed, scope
 
 
-class _NotVariant(Exception):
-    pass
-
-
-def _variant_walk(a: Term, b: Term, fwd: dict[Var, Var], bwd: dict[Var, Var]) -> None:
-    if isinstance(a, Var) and isinstance(b, Var):
-        if fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
-            raise _NotVariant
-        return
-    if isinstance(a, Fun) and isinstance(b, Fun) and a.symbol == b.symbol:
-        for xa, xb in zip(a.args, b.args):
-            _variant_walk(xa, xb, fwd, bwd)
-        return
-    raise _NotVariant
+def _variant_pairs(pairs: Iterable[tuple[Term, Term]]) -> bool:
+    # one injective renaming must map every left term onto its right term;
+    # the maps only collect variable pairs, so the order of visits is free
+    fwd: dict[Var, Var] = {}
+    bwd: dict[Var, Var] = {}
+    stack = list(pairs)
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Var):
+            if not isinstance(b, Var) or fwd.setdefault(a, b) != b or bwd.setdefault(b, a) != a:
+                return False
+        elif isinstance(b, Fun) and a.symbol == b.symbol:
+            stack += zip(a.args, b.args)
+        else:
+            return False
+    return True
 
 
 def is_term_variant(a: Term, b: Term) -> bool:
     """True iff some injective variable renaming maps a onto b."""
-    try:
-        _variant_walk(a, b, {}, {})
-        return True
-    except _NotVariant:
-        return False
+    return _variant_pairs([(a, b)])
 
 
 def is_variant(r1: Rule, r2: Rule) -> bool:
     """True iff an injective renaming maps r1 onto r2, condition order kept."""
-    if len(r1.conds) != len(r2.conds):
-        return False
-    fwd: dict[Var, Var] = {}
-    bwd: dict[Var, Var] = {}
-    try:
-        for a, b in zip(rule_terms(r1), rule_terms(r2)):
-            _variant_walk(a, b, fwd, bwd)
-        return True
-    except _NotVariant:
-        return False
+    return len(r1.conds) == len(r2.conds) and _variant_pairs(
+        zip(rule_terms(r1), rule_terms(r2))
+    )

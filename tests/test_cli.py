@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from ctrskit.cli import main
 
-from conftest import corpus_path
+from conftest import CORPUS, corpus_path
 
 FIB = str(corpus_path("fib.ctrs"))
 OVERLAP = str(corpus_path("overlap.ctrs"))
@@ -184,3 +187,63 @@ def test_render_report_views(capsys):
     bad = parse(corpus_path("non_left_linear.ctrs").read_text(encoding="utf-8"))
     report = render_report(check_left_linear(bad.ctrs))
     assert "FAILS" in report and "rule 1" in report
+
+
+def run_fresh(script, *args, hash_seed="0"):
+    """Run a script in a fresh interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed),
+        timeout=300,
+    )
+
+
+def test_too_deep_term_exits_2_without_a_traceback(tmp_path):
+    # each step nests the term one level deeper, past the recursion limit
+    path = tmp_path / "deep.ctrs"
+    path.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  s(z) -> z\n)\n", encoding="utf-8")
+    proc = run_fresh(
+        "import sys\nfrom ctrskit.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+        "rewrite", str(path), "--term", "f(z)", "--level", "1",
+        "--steps", "1200", "--max-depth", "1200",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: term nesting exceeds Python's recursion limit"]
+    assert "Traceback" not in proc.stderr
+
+
+# every command the CLI offers, on every corpus file or on fib.ctrs
+IDENTITY_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+from ctrskit.cli import main
+corpus = Path(sys.argv[1])
+fib = str(corpus / "fib.ctrs")
+runs = [[cmd, str(path), "--json"]
+        for path in sorted(corpus.glob("*.ctrs")) for cmd in ("check", "props", "overlaps")]
+term = "pair(fib(s(s(0))), add(s(0), fib(s(0))))"
+for level in ("0", "1", "2"):
+    runs.append(["rewrite", fib, "--term", term, "--level", level, "--steps", "3"])
+    runs.append(["epar", fib, "--term", term, "--level", level])
+runs.append(["diamond", fib, "--m", "1", "--n", "2", "--seed-size", "4"])
+out = []
+for argv in runs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append([argv[0], Path(argv[1]).name, code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed():
+    # set and dict orders follow string hashes; no output may show them
+    results = []
+    for seed in ("0", "1"):
+        proc = run_fresh(IDENTITY_SCRIPT, str(CORPUS), hash_seed=seed)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        results.append(json.loads(proc.stdout))
+    assert len(results[0]) == 3 * len(list(CORPUS.glob("*.ctrs"))) + 7
+    assert results[0] == results[1]
