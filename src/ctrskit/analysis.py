@@ -15,8 +15,9 @@ that cannot be closed into a commuting diamond.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .ctrs import (
     Condition,
@@ -40,12 +41,11 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    iter_vars,
     positioned_subterms,
     render_vars,
     subterm_at,
 )
-from .unify import RenamingScope, is_variant, mgu, rename_apart, rename_term_apart
+from .unify import RenamingScope, is_variant, mgu, rename_apart
 
 
 @dataclass(frozen=True)
@@ -161,43 +161,21 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
 _SKELETON_BASE = "_sk"
 
 
-def _fresh_skeleton_start(conds: Iterable[Condition]) -> int:
-    """The first hole index above every `_sk` variable of the conditions.
-
-    The system's own variables need no scan: every lhs `_skeleton` tries is
-    renamed apart from `RenamingScope(counter[0])`, above all holes made so
-    far, so holes only have to avoid the variables of the condition rhs.
-    """
-    top = 0
-    for c in conds:
-        for side in (c.lhs, c.rhs):
-            for v in iter_vars(side):
-                if v.name == _SKELETON_BASE and v.index is not None:
-                    top = max(top, v.index + 1)
-    return top
-
-
-def _skeleton(t: Term, system: Ctrs, counter: list[int]) -> Term:
+def _skeleton(t: Term, system: Ctrs, holes: Iterator[int]) -> Term:
     """Overapproximate every reduct of t by a constructor skeleton.
 
     Variables become fresh holes, and so does any application that some
     condition-erased left-hand side could rewrite; what remains is structure
     no rewrite sequence starting from an instance of t can ever change.
+    Holes take their negative indices from `holes`, which no variable of the
+    system can carry, so each lhs is unified as written.
     """
-
-    def fresh() -> Var:
-        counter[0] += 1
-        return Var(_SKELETON_BASE, counter[0] - 1)
-
     if isinstance(t, Var):
-        return fresh()
-    args = tuple(_skeleton(a, system, counter) for a in t.args)
-    u = Fun(t.symbol, args)
-    scope = RenamingScope(counter[0])
+        return Var(_SKELETON_BASE, next(holes))
+    u = Fun(t.symbol, tuple(_skeleton(a, system, holes) for a in t.args))
     for _, rule in system.rules_by_symbol.get(t.symbol, ()):
-        renamed, scope = rename_term_apart(rule.lhs, scope)
-        if mgu(renamed, u) is not None:
-            return fresh()
+        if mgu(rule.lhs, u) is not None:
+            return Var(_SKELETON_BASE, next(holes))
     return u
 
 
@@ -212,11 +190,9 @@ def infeasible(overlap: Overlap, system: Ctrs) -> Feasibility:
     cannot.  Anything else stays Unknown.
     """
     conds = overlap.combined_conditions()
-    if not conds:
-        return Feasibility.unknown()
-    counter = [_fresh_skeleton_start(conds)]
+    holes = itertools.count(-1, -1)
     for cond in conds:
-        cap = _skeleton(cond.lhs, system, counter)
+        cap = _skeleton(cond.lhs, system, holes)
         if mgu(cap, cond.rhs) is None:
             return Feasibility.by_if1(
                 cond,

@@ -2,7 +2,10 @@
 
 Subcommands: check, props, overlaps, rewrite, epar, diamond.  Shared flags
 (--max-level, --max-depth, --max-terms, --json) are accepted by every
-subcommand.  Exit codes: 0 a verdict or result was produced, 1 the verdict
+subcommand, and every subcommand rejects a negative bound.  props only
+validates the bounds; check and overlaps run no search and echo them in the
+JSON `bounds` key; rewrite takes its depth from --steps; epar and diamond use
+all three.  Exit codes: 0 a verdict or result was produced, 1 the verdict
 was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
 nested too deeply for the walks that still recurse.
 """
@@ -10,6 +13,7 @@ nested too deeply for the walks that still recurse.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -84,13 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _bounds(args: argparse.Namespace, max_depth: int | None = None) -> Bounds:
+def _bounds(args: argparse.Namespace) -> Bounds:
     try:
-        return Bounds(
-            max_level=args.max_level,
-            max_depth=args.max_depth if max_depth is None else max_depth,
-            max_terms=args.max_terms,
-        )
+        return Bounds(args.max_level, args.max_depth, args.max_terms)
     except ValueError as e:
         raise CliError(str(e)) from e
 
@@ -120,9 +120,7 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
-    bounds = _bounds(args)
+def _cmd_check(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     verdict = check_level_confluence(spec.ctrs)
     _emit(args, reports.verdict_json(verdict, bounds), reports.verdict_text(verdict))
     if args.strict and not verdict.level_confluent:
@@ -130,8 +128,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_props(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
+def _cmd_props(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     system = spec.ctrs
     props = [
         check_left_linear(system),
@@ -147,9 +144,7 @@ def _cmd_props(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overlaps(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
-    bounds = _bounds(args)
+def _cmd_overlaps(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     dispositions = dispose_overlaps(spec.ctrs)
     _emit(
         args,
@@ -159,13 +154,12 @@ def _cmd_overlaps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_rewrite(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
+def _cmd_rewrite(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     if args.steps < 0:
         raise CliError("--steps must be non-negative")
     _check_level(args, args.level)
     term = parse_term(args.term, spec)
-    bounds = _bounds(args, max_depth=args.steps)
+    bounds = dataclasses.replace(bounds, max_depth=args.steps)
     reach = cstep_star(term, args.level, spec.ctrs, bounds)
     rendered = [render(t) for t in reach]
     payload = {
@@ -180,11 +174,9 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_epar(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
+def _cmd_epar(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     _check_level(args, args.level)
     term = parse_term(args.term, spec)
-    bounds = _bounds(args)
     succ = epar_successors(term, args.level, spec.ctrs, bounds)
     payload = {
         "term": render(term),
@@ -209,12 +201,10 @@ def _cmd_epar(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diamond(args: argparse.Namespace) -> int:
-    spec = _load(args.file)
+def _cmd_diamond(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:
     if args.seed_size < 1:
         raise CliError("--seed-size must be at least 1")
     _check_level(args, args.m, args.n)
-    bounds = _bounds(args)
     seeds = ground_terms(spec.ctrs.symbols, args.seed_size)
     outcome = diamond_fuzz(spec.ctrs, seeds, args.m, args.n, bounds)
     cex = outcome.counterexample
@@ -253,7 +243,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load(args.file), _bounds(args))
     except (ParseError, EngineError, CliError) as e:
         print(f"error: {e}", file=sys.stderr)
     except RecursionError:

@@ -20,7 +20,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .ctrs import Condition, Ctrs, Rule, loose_conditions
+from .ctrs import Condition, Ctrs, Rule, loose_conditions, rule_vars
 from .mctxt import HOLE, Mctxt, MFun, fill, of_term
 from .terms import (
     Fun,
@@ -34,6 +34,7 @@ from .terms import (
     term_key,
     vars_of,
 )
+from .unify import RenamingScope, rename_apart
 
 
 class EngineError(RuntimeError):
@@ -273,6 +274,13 @@ class Rewriter:
                 self._solvable.add(index)
             if rigid is None:
                 rigid = vars_of(t)
+            if rigid and not rigid.isdisjoint(set(rule_vars(rule)) - vars_of(rule.lhs)):
+                # the match binds every lhs variable, but a rule variable
+                # outside the lhs named like a subject variable is not that
+                # variable: rename the rule above every index of the subject
+                top = max((v.index for v in rigid if v.index is not None), default=-1)
+                rule, _ = rename_apart(rule, RenamingScope(top + 1))
+                sigma = match(rule.lhs, t)
             sols, flag = self.solve_conditions(rule.conds, sigma, n - 1, rigid)
             truncated |= flag
             for s in sols:

@@ -1,9 +1,8 @@
 """First-order terms, positions, substitutions, matching, and basic predicates.
 
 Terms are immutable values with structural equality.  A variable carries a
-base name plus an optional natural-number index; renaming machinery only ever
-bumps the index, so parser-made variables (index ``None``) never collide with
-renamed ones.  Positions are 1-indexed paths, the root being the empty tuple.
+base name plus an optional index, whose three ranges `Var` defines.
+Positions are 1-indexed paths, the root being the empty tuple.
 
 The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them, so they work on terms nested
@@ -37,6 +36,17 @@ class Symbol:
 
 @dataclass(frozen=True)
 class Var:
+    """A variable: a base name plus an index from one of three disjoint ranges.
+
+    - ``None``: read from source; the parser makes only these.
+    - A natural number: made by renaming (`unify.RenamingScope`), which only
+      ever bumps the index, so renamed variables never meet source ones.
+    - A negative number: a hole of an IF1 skeleton (`analysis._skeleton`),
+      so no hole meets a variable of the system.  Holes stay inside the
+      infeasibility test: they never reach `term_key`, which encodes index
+      ``None`` as -1, nor any rendered output, so nothing sorts or prints them.
+    """
+
     name: str
     index: Optional[int] = None
 

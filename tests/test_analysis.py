@@ -14,7 +14,7 @@ from ctrskit.analysis import (
     Feasibility,
     Overlap,
     OverlapDisposition,
-    _fresh_skeleton_start,
+    _skeleton,
     check_almost_orthogonal,
     check_level_confluence,
     conditional_overlaps,
@@ -589,6 +589,42 @@ def test_skeleton_holes_only_avoid_the_overlap_conditions():
     by_pair = {(od.overlap.rule1_index, od.overlap.rule2_index): od for od in got}
     assert by_pair[(0, 1)].disposition == DISP_IF1
     assert by_pair[(2, 3)].disposition == DISP_UNKNOWN
-    # the starts really differ, so the equal dispositions are not vacuous
+    # the numberings really differ, so the equal dispositions are not vacuous:
+    # every hole is negative, and the oracle's holes start above zero
     conds = by_pair[(2, 3)].overlap.combined_conditions()
-    assert 0 < _fresh_skeleton_start(conds) < oracle_skeleton_start(system, conds)
+    holes = [
+        v for c in conds for v in iter_vars(_skeleton(c.lhs, system, itertools.count(-1, -1)))
+    ]
+    assert holes and all(v.index < 0 for v in holes)
+    assert oracle_skeleton_start(system, conds) > 0
+
+
+def test_infeasibility_never_contradicts_a_ground_search_on_random_systems():
+    # IF2 assumes level-wise commutation, which a random system that fails
+    # the criterion can break, so it is held to the search only where the
+    # verdict is LEVEL_CONFLUENT; an unsolvable random rule (EngineError)
+    # leaves its overlap unchecked
+    checked = {DISP_IF1: 0, DISP_IF2: 0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(rules, min_size=1, max_size=5))
+    def check(rule_list):
+        system = Ctrs.from_rules(rule_list, SIG)
+        verdict = check_level_confluence(system)
+        for od in verdict.overlaps:
+            if od.disposition not in checked:
+                continue
+            if od.disposition == DISP_IF2 and not verdict.level_confluent:
+                continue
+            conds = od.overlap.combined_conditions()
+            if len({v for c in conds for v in vars_of(c.lhs) | vars_of(c.rhs)}) > 3:
+                continue
+            try:
+                satisfiable = _ground_search_satisfiable(od.overlap, system, size=3, depth=4)
+            except EngineError:
+                continue
+            assert not satisfiable, (rule_list, od.overlap.pos, od.disposition)
+            checked[od.disposition] += 1
+
+    check()
+    assert checked[DISP_IF1] >= 50

@@ -166,6 +166,39 @@ def test_diamond_level_cap(capsys):
     assert "max-level" in err
 
 
+# argv -> (exit code, the one stderr line); the props and rewrite rows were
+# accepted with exit 0 before every subcommand built its bounds
+BAD_ARGS = [
+    (["rewrite", FIB, "--term", "fib(0)", "--level", "1", "--steps", "-1"],
+     "error: --steps must be non-negative"),
+    (["diamond", FIB, "--m", "1", "--n", "1", "--seed-size", "0"],
+     "error: --seed-size must be at least 1"),
+    (["epar", FIB, "--term", "fib(0)", "--level", "-1"],
+     "error: levels must be non-negative"),
+    (["diamond", FIB, "--m", "-1", "--n", "1", "--seed-size", "2"],
+     "error: levels must be non-negative"),
+    (["check", FIB, "--max-depth", "-1"], "error: bounds must be non-negative"),
+    (["props", FIB, "--max-terms", "-1"], "error: bounds must be non-negative"),
+    (["rewrite", FIB, "--term", "fib(0)", "--level", "1", "--steps", "2",
+      "--max-depth", "-5"], "error: bounds must be non-negative"),
+]
+
+
+def test_bad_arguments_exit_2_with_one_error_line(capsys):
+    for argv, line in BAD_ARGS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.splitlines()) == (2, "", [line]), argv
+
+
+def test_rule_free_system_has_no_overlaps(tmp_path, capsys):
+    path = tmp_path / "empty.ctrs"
+    path.write_text("(VAR x)\n(RULES\n)\n", encoding="utf-8")
+    assert run(capsys, "overlaps", str(path)) == (0, "no overlaps\n", "")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "overlaps: none"
+
+
 def test_props_type4(capsys):
     code, payload, _ = run_json(capsys, "props", str(corpus_path("type4.ctrs")))
     assert code == 0

@@ -2,6 +2,7 @@ import itertools
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -244,6 +245,24 @@ def test_epar_witnesses_replay(fib):
                 assert verify_epar_step(step, level, fib, BOUNDS)
 
 
+def test_tampered_epar_witnesses_fail_to_replay(fib, fb):
+    # a real two-hole root witness of pair(fib(0), fib(0)) at level 1, then
+    # one tampered copy per way a replay can reject it
+    fib0, nf = fb.fib(fb.zero), fb.pair(fb.zero, fb.s(fb.zero))
+    step = epar_check(fb.pair(fib0, fib0), fb.pair(nf, nf), 1, fib, BOUNDS)
+    assert step.kinds == (KIND_ROOT, KIND_ROOT)
+    assert verify_epar_step(step, 1, fib, BOUNDS)
+    tampered = {
+        "unequal lengths": replace(step, kinds=step.kinds[:1]),
+        "unknown kind": replace(step, kinds=("sideways", KIND_ROOT)),
+        "root target no root reduct": replace(step, targets=(fib0, nf)),
+        "below target out of reach": replace(step, kinds=(KIND_BELOW, KIND_ROOT)),
+        "hole count": replace(step, ctx=HOLE),
+    }
+    for name, bad in tampered.items():
+        assert not verify_epar_step(bad, 1, fib, BOUNDS), name
+
+
 def test_condition_with_variable_rhs_collects_every_reduct():
     # c == y binds y to each bounded reduct of c, and the extra rhs variable
     # of the rule picks all of them up
@@ -329,6 +348,24 @@ def test_rigid_subject_variables_are_not_narrowed():
     assert root_steps(open_subject, 2, sys_, BOUNDS) == frozenset()
     closed_subject = Fun(h1, (Fun(c0),))
     assert root_steps(closed_subject, 2, sys_, BOUNDS) == {Fun(c0)}
+
+
+def test_rule_variables_do_not_capture_subject_variables():
+    # the rule's y is not the subject's y: f(y) must step like f(z), whose
+    # variable no rule mentions, instead of refusing y as a rigid binding
+    spec = parse_text("(VAR x y z)(RULES f(x) -> y | a == y  a -> b)")
+    sym = {s.name: s for s in spec.ctrs.symbols}
+    a, b = Fun(sym["a"]), Fun(sym["b"])
+    for subject in (Fun(sym["f"], (Var("y"),)), Fun(sym["f"], (Var("z"),))):
+        assert root_steps(subject, 2, spec.ctrs, BOUNDS) == {a, b}
+        assert cstep_star(subject, 2, spec.ctrs, BOUNDS).terms == {subject, a, b}
+    # only a clash outside the lhs renames: a type-4 rule keeps its y on f(x)
+    # and yields a fresh y#1, not the subject's y, on f(y)
+    spec = parse_text("(VAR x y)(RULES f(x) -> y)")
+    f = next(iter(spec.ctrs.symbols))
+    x, y = Var("x"), Var("y")
+    assert root_steps(Fun(f, (x,)), 1, spec.ctrs, BOUNDS) == {y}
+    assert root_steps(Fun(f, (y,)), 1, spec.ctrs, BOUNDS) == {Var("y", 1)}
 
 
 def test_rewriter_agrees_with_the_module_functions(fib, fib_universe):
