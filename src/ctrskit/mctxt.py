@@ -4,14 +4,15 @@ Contexts ordered by refinement (a hole may be replaced by any context) form a
 meet-semilattice; `meet` computes the greatest common prefix and `decompose`
 recovers the residues under a prefix.  Holes are filled left to right, which
 is what makes parallel rewrite steps over a shared context well defined.
+Every walk but `meet` is `terms.fold` or a stack loop, so none of them recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Union
 
-from .terms import Fun, Symbol, Term, Var
+from .terms import Fun, Symbol, Term, Var, fold
 
 
 class HoleCountError(ValueError):
@@ -41,13 +42,9 @@ class MFun:
     symbol: Symbol
     args: tuple["Mctxt", ...] = ()
 
-    # the same arity check as a term's
+    # the same arity check and renderer as a term's
     __post_init__ = Fun.__post_init__
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.symbol.name
-        return f"{self.symbol.name}({', '.join(str(a) for a in self.args)})"
+    __str__ = Fun.__str__
 
 
 Mctxt = Union[Hole, MVar, MFun]
@@ -56,65 +53,46 @@ HOLE = Hole()
 
 
 def hole_count(c: Mctxt) -> int:
-    if isinstance(c, Hole):
-        return 1
-    if isinstance(c, MVar):
-        return 0
-    return sum(hole_count(a) for a in c.args)
+    return fold(c, lambda u: 1 if isinstance(u, Hole) else 0, lambda u, ns: sum(ns))
 
 
 def of_term(t: Term) -> Mctxt:
     """Embed a term as the hole-free context that reads back as itself."""
-    if isinstance(t, Var):
-        return MVar(t)
-    return MFun(t.symbol, tuple(of_term(a) for a in t.args))
+    return fold(t, MVar, lambda u, args: MFun(u.symbol, args))
 
 
-def _fill(c: Mctxt, it: Iterator[Term]) -> Term:
-    if isinstance(c, Hole):
-        return next(it)
-    if isinstance(c, MVar):
-        return c.var
-    return Fun(c.symbol, tuple(_fill(a, it) for a in c.args))
+def _fill(c: Mctxt, fillers: Iterable, make: Callable) -> Term | Mctxt:
+    # `make` builds the nodes: Fun fills into a term, MFun into a context
+    fillers = tuple(fillers)
+    n = hole_count(c)
+    if len(fillers) != n:
+        noun = "term" if make is Fun else "context"
+        raise HoleCountError(f"context has {n} hole(s), got {len(fillers)} {noun}(s)")
+    it = iter(fillers)
+
+    def leaf(u: Mctxt) -> Term | Mctxt:
+        return next(it) if isinstance(u, Hole) else u.var if make is Fun else u
+
+    return fold(c, leaf, lambda u, args: make(u.symbol, args))
 
 
 def fill(c: Mctxt, ts: Iterable[Term]) -> Term:
     """Replace the holes of c left to right by ts."""
-    ts = tuple(ts)
-    n = hole_count(c)
-    if len(ts) != n:
-        raise HoleCountError(f"context has {n} hole(s), got {len(ts)} term(s)")
-    return _fill(c, iter(ts))
-
-
-def _fill_ctx(c: Mctxt, it: Iterator[Mctxt]) -> Mctxt:
-    if isinstance(c, Hole):
-        return next(it)
-    if isinstance(c, MVar):
-        return c
-    return MFun(c.symbol, tuple(_fill_ctx(a, it) for a in c.args))
+    return _fill(c, ts, Fun)
 
 
 def fill_ctx(c: Mctxt, cs: Iterable[Mctxt]) -> Mctxt:
     """Replace the holes of c left to right by contexts, yielding a context."""
-    cs = tuple(cs)
-    n = hole_count(c)
-    if len(cs) != n:
-        raise HoleCountError(f"context has {n} hole(s), got {len(cs)} context(s)")
-    return _fill_ctx(c, iter(cs))
+    return _fill(c, cs, MFun)
 
 
 def leq(c: Mctxt, d: Mctxt) -> bool:
     """Prefix order: c <= d iff d is c with every hole refined to a context."""
-    if isinstance(c, Hole):
-        return True
-    if isinstance(c, MVar):
-        return c == d
-    return (
-        isinstance(d, MFun)
-        and d.symbol == c.symbol
-        and all(leq(ca, da) for ca, da in zip(c.args, d.args))
-    )
+    try:
+        decompose(d, c)
+    except NotAPrefixError:
+        return False
+    return True
 
 
 def meet(c: Mctxt, d: Mctxt) -> Mctxt:
@@ -133,24 +111,18 @@ def meet(c: Mctxt, d: Mctxt) -> Mctxt:
 
 
 def decompose(c: Mctxt, e: Mctxt) -> list[Mctxt]:
-    """The unique residues [c_1, ..., c_k] with fill_ctx(e, residues) == c."""
+    """The unique residues [c_1, ..., c_k] with fill_ctx(e, residues) == c;
+    NotAPrefixError at the first mismatch in left-to-right preorder."""
     out: list[Mctxt] = []
-
-    def walk(ci: Mctxt, ei: Mctxt) -> None:
+    stack = [(c, e)]
+    while stack:
+        ci, ei = stack.pop()
         if isinstance(ei, Hole):
             out.append(ci)
-            return
-        if isinstance(ei, MVar):
-            if ci == ei:
-                return
+        elif isinstance(ei, MFun) and isinstance(ci, MFun) and ci.symbol == ei.symbol:
+            stack += zip(ci.args[::-1], ei.args[::-1])
+        elif not (isinstance(ei, MVar) and ci == ei):
             raise NotAPrefixError(f"{ei} is not a prefix of {ci}")
-        if isinstance(ci, MFun) and ci.symbol == ei.symbol:
-            for ca, ea in zip(ci.args, ei.args):
-                walk(ca, ea)
-            return
-        raise NotAPrefixError(f"{ei} is not a prefix of {ci}")
-
-    walk(c, e)
     return out
 
 

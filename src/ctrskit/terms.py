@@ -5,17 +5,18 @@ base name plus an optional index, whose three ranges `Var` defines.
 Positions are 1-indexed paths, the root being the empty tuple.
 
 The walks that only read a term are stack loops, `subterms` and
-`positioned_subterms` or walks read off them, so they work on terms nested
-deeper than Python's recursion limit.  The walks that build bottom-up
-(`apply_subst`, `replace_at`, `render_term`) still recurse, as do the
-dataclass `==` and the first hash of a term.
+`positioned_subterms` or walks read off them; the walks that build bottom-up
+are `fold`, or a loop like `replace_at`'s.  So they work on terms nested
+deeper than Python's recursion limit.  What still recurses: `apply_subst`
+(so `compose` too), `==` between distinct equal terms, and the first hash of
+a term that was never hashed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
 class PositionError(ValueError):
@@ -89,13 +90,34 @@ Term = Union[Var, Fun]
 Position = tuple[int, ...]
 
 
+def fold(t: Any, leaf: Callable[[Any], Any], node: Callable[[Any, list], Any]) -> Any:
+    """Fold t bottom-up: `leaf(u)` at a node without `args`, `node(u, folds)`
+    at a node with them, `folds` being the folds of `u.args` in order.
+
+    Duck-typed on `args`, so it folds terms and multihole contexts alike.  It
+    lists the nodes in right-to-left preorder and folds them in reverse, that
+    is in left-to-right postorder: leaves left to right, and no recursion."""
+    order = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack += getattr(u, "args", ())
+    done: list = []
+    for u in reversed(order):
+        args = getattr(u, "args", None)
+        if args is None:
+            done.append(leaf(u))
+        else:
+            k = len(done) - len(args)
+            done[k:] = [node(u, done[k:])]
+    return done[0]
+
+
 def render_term(t: Term) -> str:
-    """Concrete syntax: ``f(x, a)`` for applications, bare name for leaves."""
-    if isinstance(t, Var):
-        return str(t)
-    if not t.args:
-        return t.symbol.name
-    return f"{t.symbol.name}({', '.join(render_term(a) for a in t.args)})"
+    """Concrete syntax: ``f(x, a)`` for applications, bare name for leaves and
+    ``□`` for the holes of a context, which renders through it too."""
+    return fold(t, str, lambda u, a: f"{u.symbol.name}({', '.join(a)})" if a else u.symbol.name)
 
 
 def render_vars(vs: Iterable[Var]) -> str:
@@ -203,16 +225,17 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, u: Term) -> Term:
-    if not p:
-        return u
-    if isinstance(t, Var):
-        raise PositionError(f"position {list(p)} traverses variable {t}")
-    i = p[0]
-    if not 1 <= i <= len(t.args):
-        raise PositionError(f"index {i} exceeds arity of {t.symbol.name}")
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], p[1:], u)
-    return Fun(t.symbol, tuple(args))
+    above: list[tuple[Fun, int]] = []
+    for depth, i in enumerate(p):
+        if isinstance(t, Var):
+            raise PositionError(f"position {list(p[depth:])} traverses variable {t}")
+        if not 1 <= i <= len(t.args):
+            raise PositionError(f"index {i} exceeds arity of {t.symbol.name}")
+        above.append((t, i))
+        t = t.args[i - 1]
+    for f, i in reversed(above):
+        u = Fun(f.symbol, f.args[: i - 1] + (u,) + f.args[i:])
+    return u
 
 
 def subterms(t: Term) -> Iterator[Term]:

@@ -234,7 +234,9 @@ def run_fresh(script, *args, hash_seed="0"):
 
 
 def test_too_deep_term_exits_2_without_a_traceback(tmp_path):
-    # each step nests the term one level deeper, past the recursion limit
+    # each step nests the term one level deeper, past the recursion limit;
+    # s(z) -> z reaches terms equal to visited ones, and the dataclass ==
+    # between two distinct equal deep terms recurses in `new -= visited`
     path = tmp_path / "deep.ctrs"
     path.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  s(z) -> z\n)\n", encoding="utf-8")
     proc = run_fresh(
@@ -245,6 +247,27 @@ def test_too_deep_term_exits_2_without_a_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: term nesting exceeds Python's recursion limit"]
     assert "Traceback" not in proc.stderr
+
+
+def test_deep_rewrite_renders_every_term(tmp_path):
+    # the same f-chain, but no reduct equals a visited term: rendering the
+    # 1201 terms, up to f(s^1200(z)), is what must not recurse
+    path = tmp_path / "deep.ctrs"
+    path.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  g(z) -> z\n)\n", encoding="utf-8")
+    argv = ["rewrite", str(path), "--term", "f(z)", "--level", "1",
+            "--steps", "1200", "--max-depth", "1200"]
+    script = "import sys\nfrom ctrskit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    deepest = "f(" + "s(" * 1200 + "z" + ")" * 1201
+    text = run_fresh(script, *argv)
+    assert (text.returncode, text.stderr) == (0, "")
+    lines = text.stdout.splitlines()
+    assert len(lines) == 1202 and lines[-1] == "truncated: true"
+    assert "f(z)" in lines and deepest in lines
+    js = run_fresh(script, *argv, "--json")
+    assert (js.returncode, js.stderr) == (0, "")
+    payload = json.loads(js.stdout)
+    assert len(payload["reachable"]) == 1201 and payload["truncated"] is True
+    assert payload["reachable"] == lines[:-1]
 
 
 # every command the CLI offers, on every corpus file or on fib.ctrs

@@ -1,12 +1,17 @@
-"""The iterative term walks against the recursive ones they replaced.
+"""The iterative term and context walks against the recursive ones they replaced.
 
 `nested_term_key` and `variant_walk` are the recursive definitions kept as
 oracles: the flat preorder `term_key` must order terms exactly as the nested
 key did, and the stack loop behind `is_term_variant` and `is_variant` must
-give the verdict the recursive walk gave.  The depth test runs every
-converted walk on a term far deeper than Python's recursion limit.
+give the verdict the recursive walk gave.  The `rec_*` functions are the
+recursive renderers, `replace_at` and context walks that `terms.fold` and
+the stack loops replaced; each converted walk must give the same result, of
+the same type, or raise the same exception with the same text.  The depth
+test runs every converted walk on a term and a context far deeper than
+Python's recursion limit.
 """
 
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -15,10 +20,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrskit.ctrs import Condition, Rule, rule_terms
-from ctrskit.terms import Fun, Subst, Var, apply_subst, positions, replace_at, term_key
+from ctrskit.mctxt import (
+    Hole,
+    HoleCountError,
+    MFun,
+    MVar,
+    NotAPrefixError,
+    decompose,
+    fill,
+    fill_ctx,
+    hole_count,
+    leq,
+    of_term,
+)
+from ctrskit.terms import (
+    Fun,
+    PositionError,
+    Subst,
+    Var,
+    apply_subst,
+    positions,
+    render_term,
+    replace_at,
+    term_key,
+)
 from ctrskit.unify import is_term_variant, is_variant
 
-from conftest import SIG5, X, Y, Z
+from conftest import SIG5, X, Y, Z, random_context, random_prefix, random_term
 
 
 def nested_term_key(t):
@@ -129,15 +157,187 @@ def test_rule_variant_agrees_with_the_recursive_walk(rule, ren, change, where, d
     assert is_variant(rule, other) == expected
 
 
+def rec_render_term(t):
+    if isinstance(t, Var):
+        return str(t)
+    if not t.args:
+        return t.symbol.name
+    return f"{t.symbol.name}({', '.join(rec_render_term(a) for a in t.args)})"
+
+
+def rec_str(c):
+    # MFun.__str__, which rendered its arguments through str
+    if not isinstance(c, MFun):
+        return str(c)
+    if not c.args:
+        return c.symbol.name
+    return f"{c.symbol.name}({', '.join(rec_str(a) for a in c.args)})"
+
+
+def rec_replace_at(t, p, u):
+    if not p:
+        return u
+    if isinstance(t, Var):
+        raise PositionError(f"position {list(p)} traverses variable {t}")
+    i = p[0]
+    if not 1 <= i <= len(t.args):
+        raise PositionError(f"index {i} exceeds arity of {t.symbol.name}")
+    args = list(t.args)
+    args[i - 1] = rec_replace_at(args[i - 1], p[1:], u)
+    return Fun(t.symbol, tuple(args))
+
+
+def rec_hole_count(c):
+    if isinstance(c, Hole):
+        return 1
+    if isinstance(c, MVar):
+        return 0
+    return sum(rec_hole_count(a) for a in c.args)
+
+
+def rec_of_term(t):
+    if isinstance(t, Var):
+        return MVar(t)
+    return MFun(t.symbol, tuple(rec_of_term(a) for a in t.args))
+
+
+def rec_fill_walk(c, it):
+    if isinstance(c, Hole):
+        return next(it)
+    if isinstance(c, MVar):
+        return c.var
+    return Fun(c.symbol, tuple(rec_fill_walk(a, it) for a in c.args))
+
+
+def rec_fill(c, ts):
+    ts = tuple(ts)
+    n = rec_hole_count(c)
+    if len(ts) != n:
+        raise HoleCountError(f"context has {n} hole(s), got {len(ts)} term(s)")
+    return rec_fill_walk(c, iter(ts))
+
+
+def rec_fill_ctx_walk(c, it):
+    if isinstance(c, Hole):
+        return next(it)
+    if isinstance(c, MVar):
+        return c
+    return MFun(c.symbol, tuple(rec_fill_ctx_walk(a, it) for a in c.args))
+
+
+def rec_fill_ctx(c, cs):
+    cs = tuple(cs)
+    n = rec_hole_count(c)
+    if len(cs) != n:
+        raise HoleCountError(f"context has {n} hole(s), got {len(cs)} context(s)")
+    return rec_fill_ctx_walk(c, iter(cs))
+
+
+def rec_leq(c, d):
+    if isinstance(c, Hole):
+        return True
+    if isinstance(c, MVar):
+        return c == d
+    return (
+        isinstance(d, MFun)
+        and d.symbol == c.symbol
+        and all(rec_leq(ca, da) for ca, da in zip(c.args, d.args))
+    )
+
+
+def rec_decompose(c, e):
+    out = []
+
+    def walk(ci, ei):
+        if isinstance(ei, Hole):
+            out.append(ci)
+            return
+        if isinstance(ei, MVar):
+            if ci == ei:
+                return
+            raise NotAPrefixError(f"{ei} is not a prefix of {ci}")
+        if isinstance(ci, MFun) and ci.symbol == ei.symbol:
+            for ca, ea in zip(ci.args, ei.args):
+                walk(ca, ea)
+            return
+        raise NotAPrefixError(f"{ei} is not a prefix of {ci}")
+
+    walk(c, e)
+    return out
+
+
+def outcome(f, *args):
+    """A result with its type, or an exception's type and text."""
+    try:
+        result = f(*args)
+    except (PositionError, HoleCountError, NotAPrefixError) as e:
+        return "raised", type(e), str(e)
+    return "returned", type(result), result
+
+
+def assert_same(new, old, *args):
+    assert outcome(new, *args) == outcome(old, *args), (new.__name__, args)
+
+
+def mutate(rng, c, p=0.2):
+    """c with some subcontexts swapped for random ones, maybe in several places."""
+    if rng.random() < p:
+        return random_context(rng, 2, variables=VARS)
+    if isinstance(c, MFun) and c.args:
+        return MFun(c.symbol, tuple(mutate(rng, a, p) for a in c.args))
+    return c
+
+
+def fillers(rng, n, make):
+    # mostly as many fillers as holes, sometimes one fewer or one more
+    k = max(0, n + rng.choice((-1, 0, 0, 0, 1)))
+    return [make() for _ in range(k)]
+
+
+def test_term_walks_agree_with_the_recursive_ones():
+    rng = random.Random(1300)
+    for _ in range(1000):
+        t = random_term(rng, 4, variables=VARS)
+        assert_same(render_term, rec_render_term, t)
+        assert_same(str, rec_render_term, t)
+        assert_same(of_term, rec_of_term, t)
+        u = random_term(rng, 2, variables=VARS)
+        p = rng.choice(positions(t))
+        assert_same(replace_at, rec_replace_at, t, p, u)
+        # a few indices past p: off the arity, or through a variable
+        bad = p + tuple(rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 2)))
+        assert_same(replace_at, rec_replace_at, t, bad, u)
+
+
+def test_context_walks_agree_with_the_recursive_ones():
+    rng = random.Random(1310)
+    for _ in range(1000):
+        c = random_context(rng, 4, variables=VARS)
+        assert_same(str, rec_str, c)
+        assert_same(hole_count, rec_hole_count, c)
+        n = rec_hole_count(c)
+        ts = fillers(rng, n, lambda: random_term(rng, 2, variables=VARS))
+        assert_same(fill, rec_fill, c, ts)
+        cs = fillers(rng, n, lambda: random_context(rng, 2, variables=VARS))
+        assert_same(fill_ctx, rec_fill_ctx, c, cs)
+        for e in (random_prefix(rng, c), mutate(rng, random_prefix(rng, c)),
+                  random_context(rng, 3, variables=VARS)):
+            assert_same(decompose, rec_decompose, c, e)
+            assert_same(leq, rec_leq, e, c)
+            assert_same(leq, rec_leq, c, e)
+
+
 def test_walks_reach_below_the_recursion_limit():
     # a fresh interpreter, so the test runner's own frames do not count;
-    # deep terms are built bottom-up and never compared with ==
+    # deep terms and contexts are built bottom-up and never compared with ==
     script = (
         "import sys\n"
         "sys.path[:0] = sys.argv[1:]\n"
+        "from ctrskit.mctxt import (HOLE, MFun, MVar, NotAPrefixError, decompose,\n"
+        "    fill, fill_ctx, hole_count, leq, of_term)\n"
         "from ctrskit.terms import (Fun, Symbol, Var, function_positions,\n"
-        "    is_constructor_term, is_ground, iter_vars, positions, term_key,\n"
-        "    term_size, vars_of)\n"
+        "    is_constructor_term, is_ground, iter_vars, positions, render_term,\n"
+        "    replace_at, term_key, term_size, vars_of)\n"
         "from ctrskit.unify import is_term_variant, mgu\n"
         "N = 5000\n"
         "S = Symbol('s', 1)\n"
@@ -163,6 +363,27 @@ def test_walks_reach_below_the_recursion_limit():
         "assert is_term_variant(t, tower(y)) and is_term_variant(tower(y), t)\n"
         "assert not is_term_variant(t, tower(Fun(Symbol('0', 0))))\n"
         "assert mgu(x, t) is None\n"
+        "def text(leaf, n=N):\n"
+        "    return 's(' * n + leaf + ')' * n\n"
+        "assert render_term(t) == str(t) == text('x')\n"
+        "assert render_term(replace_at(t, (1,) * N, y)) == text('y#3')\n"
+        "c = of_term(t)\n"
+        "assert str(c) == text('x') and hole_count(c) == 0\n"
+        "h = HOLE\n"
+        "for _ in range(N):\n"
+        "    h = MFun(S, (h,))\n"
+        "assert str(h) == text('\u25a1') and hole_count(h) == 1\n"
+        "assert render_term(fill(h, [y])) == text('y#3')\n"
+        "assert str(fill_ctx(h, [MVar(x)])) == text('x')\n"
+        "assert str(fill_ctx(h, [h])) == text('\u25a1', 2 * N)\n"
+        "assert leq(h, c) and not leq(c, h)\n"
+        "assert decompose(c, h) == [MVar(x)]\n"
+        "try:\n"
+        "    decompose(h, c)\n"
+        "except NotAPrefixError as e:\n"
+        "    assert str(e) == 'x is not a prefix of \u25a1'\n"
+        "else:\n"
+        "    raise AssertionError('decompose took c for a prefix of h')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, *sys.path], capture_output=True, timeout=120
