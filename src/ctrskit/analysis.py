@@ -41,9 +41,11 @@ from .terms import (
     Term,
     Var,
     apply_subst,
+    fold,
     positioned_subterms,
     render_vars,
     subterm_at,
+    with_args,
 )
 from .unify import RenamingScope, is_variant, mgu, rename_apart
 
@@ -158,25 +160,25 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     return out
 
 
-_SKELETON_BASE = "_sk"
-
-
 def _skeleton(t: Term, system: Ctrs, holes: Iterator[int]) -> Term:
     """Overapproximate every reduct of t by a constructor skeleton.
 
     Variables become fresh holes, and so does any application that some
     condition-erased left-hand side could rewrite; what remains is structure
     no rewrite sequence starting from an instance of t can ever change.
-    Holes take their negative indices from `holes`, which no variable of the
-    system can carry, so each lhs is unified as written.
+    Holes take their negative indices from `holes` in left-to-right postorder;
+    no variable of the system can carry one, so each lhs is unified as written.
     """
-    if isinstance(t, Var):
-        return Var(_SKELETON_BASE, next(holes))
-    u = Fun(t.symbol, tuple(_skeleton(a, system, holes) for a in t.args))
-    for _, rule in system.rules_by_symbol.get(t.symbol, ()):
-        if mgu(rule.lhs, u) is not None:
-            return Var(_SKELETON_BASE, next(holes))
-    return u
+
+    def hole(_: Term) -> Var:
+        return Var("_sk", next(holes))
+
+    def node(u: Fun, args: list) -> Term:
+        u = with_args(u, args)
+        lhss = system.rules_by_symbol.get(u.symbol, ())
+        return hole(u) if any(mgu(r.lhs, u) is not None for _, r in lhss) else u
+
+    return fold(t, hole, node)
 
 
 def infeasible(overlap: Overlap, system: Ctrs) -> Feasibility:

@@ -8,9 +8,9 @@ JSON `bounds` key; rewrite takes its depth from --steps; epar and diamond use
 all three.  Exit codes: 0 a verdict or result was produced, 1 the verdict
 was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
 nested too deeply for the walks that still recurse: `==` between distinct
-equal terms, the first hash of a term, `apply_subst` (also under `compose`),
-the IF1 skeleton, `mctxt.meet`, and the engine's recursion over arguments
-in `cstep_n`, `epar_successors` and `EparSet.witness`.
+equal terms, the first hash of a term, `mctxt.meet`, and the engine's
+recursion over arguments in `cstep_n`, `epar_successors` and
+`EparSet.witness`.
 """
 
 from __future__ import annotations

@@ -345,7 +345,7 @@ class Rewriter:
                     truncated |= flag
                     new |= succ
                 new -= visited
-                fits = len(new) <= max_terms - len(visited)
+                fits = not new or len(new) <= max_terms - len(visited)
             except EngineError:
                 fits = False
             if not fits:

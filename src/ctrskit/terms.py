@@ -7,14 +7,16 @@ Positions are 1-indexed paths, the root being the empty tuple.
 The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them; the walks that build bottom-up
 are `fold`, or a loop like `replace_at`'s.  So they work on terms nested
-deeper than Python's recursion limit.  What still recurses: `apply_subst`
-(so `compose` too), `==` between distinct equal terms, and the first hash of
-a term that was never hashed.
+deeper than Python's recursion limit.  What still recurses: `==` between
+distinct equal terms, the first hash of a term that was never hashed, and
+elsewhere `mctxt.meet` and the engine's recursion over arguments in
+`cstep_n`, `epar_successors` and `EparSet.witness`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
@@ -268,12 +270,15 @@ def function_positions(t: Term) -> list[Position]:
     return [p for p, u in positioned_subterms(t) if isinstance(u, Fun)]
 
 
+def with_args(u: Fun, args: list) -> Fun:
+    """u with its arguments replaced by args: u itself when each is u's own."""
+    return u if all(map(operator.is_, args, u.args)) else Fun(u.symbol, tuple(args))
+
+
 def apply_subst(t: Term, s: Subst) -> Term:
-    if isinstance(t, Var):
-        return s.get(t)
-    if not s:
-        return t
-    return Fun(t.symbol, tuple(apply_subst(a, s) for a in t.args))
+    """t with each variable v replaced by `s.get(v)`; a subterm holding no
+    variable that s binds comes back as it is, not as a copy."""
+    return fold(t, s.get, with_args) if s else t
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:

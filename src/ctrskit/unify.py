@@ -71,15 +71,8 @@ def rename_term_apart(t: Term, scope: RenamingScope) -> tuple[Term, RenamingScop
 def rename_apart(rule: Rule, scope: RenamingScope) -> tuple[Rule, RenamingScope]:
     """A variant of the rule over fresh variables, plus the advanced scope."""
     ren, scope = _freshen(rule_vars(rule), scope)
-    renamed = Rule(
-        apply_subst(rule.lhs, ren),
-        apply_subst(rule.rhs, ren),
-        tuple(
-            Condition(apply_subst(c.lhs, ren), apply_subst(c.rhs, ren))
-            for c in rule.conds
-        ),
-    )
-    return renamed, scope
+    lhs, rhs, *sides = [apply_subst(t, ren) for t in rule_terms(rule)]
+    return Rule(lhs, rhs, tuple(map(Condition, sides[::2], sides[1::2]))), scope
 
 
 def _variant_pairs(pairs: Iterable[tuple[Term, Term]]) -> bool:

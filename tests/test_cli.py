@@ -270,6 +270,25 @@ def test_deep_rewrite_renders_every_term(tmp_path):
     assert payload["reachable"] == lines[:-1]
 
 
+def test_deep_rewrite_through_condition_solving(tmp_path):
+    # each step solves a == y, and the solution is composed with the match
+    # x -> s^k(z); a substitution that copied s^k(z) left two distinct equal
+    # deep terms, and == between them recursed past the limit
+    path = tmp_path / "deep.ctrs"
+    path.write_text(
+        "(VAR x y)\n(RULES\n  f(x) -> f(s(x)) | a == y\n  a -> b\n  g(z) -> z\n)\n",
+        encoding="utf-8",
+    )
+    proc = run_fresh(
+        "import sys\nfrom ctrskit.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+        "rewrite", str(path), "--term", "f(z)", "--level", "2",
+        "--steps", "1200", "--max-depth", "1200",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1202 and lines[-1] == "truncated: true"
+
+
 # every command the CLI offers, on every corpus file or on fib.ctrs
 IDENTITY_SCRIPT = """
 import contextlib, io, json, sys

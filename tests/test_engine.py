@@ -586,7 +586,10 @@ def test_searches_match_the_ordered_eager_oracle_where_root_steps_fill_the_cap()
 
 
 def test_depth_cut_searches_match_the_ordered_eager_oracle(fib, fib_universe_6):
-    for bounds in (Bounds(8, 1, 4096), Bounds(8, 2, 4096), Bounds(8, 2, 5)):
+    # at max_terms 0 the start term alone exceeds the cap, yet a search whose
+    # rounds find nothing new was cut short by no bound
+    for bounds in (Bounds(8, 1, 4096), Bounds(8, 2, 4096), Bounds(8, 2, 5),
+                   Bounds(8, 1, 0), Bounds(8, 8, 0)):
         assert_matches_oracle(fib, bounds, fib_universe_6)
 
 

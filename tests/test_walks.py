@@ -6,20 +6,24 @@ key did, and the stack loop behind `is_term_variant` and `is_variant` must
 give the verdict the recursive walk gave.  The `rec_*` functions are the
 recursive renderers, `replace_at` and context walks that `terms.fold` and
 the stack loops replaced; each converted walk must give the same result, of
-the same type, or raise the same exception with the same text.  The depth
-test runs every converted walk on a term and a context far deeper than
-Python's recursion limit.
+the same type, or raise the same exception with the same text.
+`rec_apply_subst` and `rec_skeleton` are the recursive substitution and IF1
+skeleton that `terms.fold` replaced: the fold must give equal terms and the
+same hole numbering, and substitution must hand back every subterm it leaves
+unchanged as the same object.  The depth test runs every converted walk on a
+term and a context far deeper than Python's recursion limit.
 """
 
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrskit.ctrs import Condition, Rule, rule_terms
+from ctrskit.analysis import _skeleton, conditional_overlaps
+from ctrskit.ctrs import Condition, Ctrs, Rule, rule_terms
 from ctrskit.mctxt import (
     Hole,
     HoleCountError,
@@ -39,14 +43,19 @@ from ctrskit.terms import (
     Subst,
     Var,
     apply_subst,
+    positioned_subterms,
     positions,
     render_term,
     replace_at,
+    subterm_at,
     term_key,
+    vars_of,
 )
-from ctrskit.unify import is_term_variant, is_variant
+from ctrskit.unify import is_term_variant, is_variant, mgu
 
-from conftest import SIG5, X, Y, Z, random_context, random_prefix, random_term
+from conftest import SIG5, X, Y, Z, random_context, random_prefix, random_subst, random_term
+from test_analysis import SIG as ANALYSIS_SIG
+from test_analysis import rules as analysis_rules
 
 
 def nested_term_key(t):
@@ -327,17 +336,92 @@ def test_context_walks_agree_with_the_recursive_ones():
             assert_same(leq, rec_leq, c, e)
 
 
+def rec_apply_subst(t, s):
+    if isinstance(t, Var):
+        return s.get(t)
+    if not s:
+        return t
+    return Fun(t.symbol, tuple(rec_apply_subst(a, s) for a in t.args))
+
+
+def rec_skeleton(t, system, holes):
+    if isinstance(t, Var):
+        return Var("_sk", next(holes))
+    u = Fun(t.symbol, tuple(rec_skeleton(a, system, holes) for a in t.args))
+    for _, rule in system.rules_by_symbol.get(t.symbol, ()):
+        if mgu(rule.lhs, u) is not None:
+            return Var("_sk", next(holes))
+    return u
+
+
+def assert_same_subst(t, s):
+    assert_same(apply_subst, rec_apply_subst, t, s)
+    # a subterm with no variable that s binds comes back as it is
+    new = apply_subst(t, s)
+    for p, u in positioned_subterms(t):
+        if vars_of(u).isdisjoint(s.domain):
+            assert subterm_at(new, p) is u, (str(t), s, p)
+
+
+def assert_same_skeletons(ts, system):
+    # one hole counter per side for the whole list, as `infeasible` draws
+    # them for an overlap's conditions: the numbering must match throughout
+    new, old = count(-1, -1), count(-1, -1)
+    got = [_skeleton(t, system, new) for t in ts]
+    expected = [rec_skeleton(t, system, old) for t in ts]
+    assert got == expected, [str(t) for t in ts]
+    assert next(new) == next(old)
+
+
+def random_rule(rng):
+    lhs = random_term(rng, 2, variables=VARS)
+    while isinstance(lhs, Var):
+        lhs = random_term(rng, 2, variables=VARS)
+    conds = [Condition(random_term(rng, 2, variables=VARS), random_term(rng, 1, variables=VARS))
+             for _ in range(rng.randint(0, 2))]
+    return Rule(lhs, random_term(rng, 2, variables=VARS), tuple(conds))
+
+
+def test_substitution_walks_agree_with_the_recursive_ones():
+    rng = random.Random(1400)
+    shared = 0
+    for _ in range(1000):
+        t = random_term(rng, 4, variables=VARS)
+        s = random_subst(rng, variables=rng.sample(VARS, rng.randint(0, 3)))
+        assert_same_subst(t, s)
+        shared += apply_subst(t, s) is t
+        system = Ctrs.from_rules([random_rule(rng) for _ in range(rng.randint(1, 3))], SIG5)
+        assert_same_skeletons([t, random_term(rng, 3, variables=VARS), t], system)
+    # substitutions that bind no variable of t are common, not a corner case
+    assert 100 < shared < 900
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(analysis_rules, min_size=1, max_size=5))
+def test_substitution_walks_agree_with_the_recursive_ones_on_random_systems(rule_list):
+    system = Ctrs.from_rules(rule_list, ANALYSIS_SIG)
+    for rule in system.rules:
+        assert_same_skeletons(rule_terms(rule), system)
+    for o in conditional_overlaps(system):
+        for t in rule_terms(o.rule1) + rule_terms(o.rule2):
+            assert_same_subst(t, o.mgu)
+        assert_same_skeletons([c.lhs for c in o.combined_conditions()], system)
+
+
 def test_walks_reach_below_the_recursion_limit():
     # a fresh interpreter, so the test runner's own frames do not count;
     # deep terms and contexts are built bottom-up and never compared with ==
     script = (
         "import sys\n"
         "sys.path[:0] = sys.argv[1:]\n"
+        "import itertools\n"
+        "from ctrskit.analysis import _skeleton\n"
+        "from ctrskit.ctrs import Ctrs, Rule\n"
         "from ctrskit.mctxt import (HOLE, MFun, MVar, NotAPrefixError, decompose,\n"
         "    fill, fill_ctx, hole_count, leq, of_term)\n"
-        "from ctrskit.terms import (Fun, Symbol, Var, function_positions,\n"
-        "    is_constructor_term, is_ground, iter_vars, positions, render_term,\n"
-        "    replace_at, term_key, term_size, vars_of)\n"
+        "from ctrskit.terms import (Fun, Subst, Symbol, Var, apply_subst, compose,\n"
+        "    function_positions, is_constructor_term, is_ground, iter_vars,\n"
+        "    positions, render_term, replace_at, term_key, term_size, vars_of)\n"
         "from ctrskit.unify import is_term_variant, mgu\n"
         "N = 5000\n"
         "S = Symbol('s', 1)\n"
@@ -367,6 +451,16 @@ def test_walks_reach_below_the_recursion_limit():
         "    return 's(' * n + leaf + ')' * n\n"
         "assert render_term(t) == str(t) == text('x')\n"
         "assert render_term(replace_at(t, (1,) * N, y)) == text('y#3')\n"
+        "assert render_term(apply_subst(t, Subst({x: y}))) == text('y#3')\n"
+        "assert apply_subst(t, Subst({y: x})) is t\n"
+        "a = Fun(Symbol('a', 0))\n"
+        "sigma = compose(Subst({y: t}), Subst({x: a}))\n"
+        "assert render_term(sigma.get(y)) == text('a') and sigma.get(x) == a\n"
+        "# no lhs is rooted at s, so only the variable becomes a hole\n"
+        "system = Ctrs.from_rules([Rule(Fun(Symbol('f', 1), (x,)), x)])\n"
+        "holes = itertools.count(-1, -1)\n"
+        "assert render_term(_skeleton(t, system, holes)) == text('_sk#-1')\n"
+        "assert next(holes) == -2\n"
         "c = of_term(t)\n"
         "assert str(c) == text('x') and hole_count(c) == 0\n"
         "h = HOLE\n"
