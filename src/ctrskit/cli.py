@@ -10,7 +10,7 @@ was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
 nested too deeply for the walks that still recurse: `==` between distinct
 equal terms, the first hash of a term, `mctxt.meet`, and the engine's
 recursion over arguments in `cstep_n`, `epar_successors` and
-`EparSet.witness`.
+`EparSet.witness`.  A stdout whose reader has gone changes no exit code.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .analysis import check_level_confluence, diamond_fuzz, dispose_overlaps
@@ -117,10 +118,11 @@ def _check_level(args: argparse.Namespace, *levels: int) -> None:
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: on devnull the interpreter's last flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_check(args: argparse.Namespace, spec: SourceSpec, bounds: Bounds) -> int:

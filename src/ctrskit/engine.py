@@ -112,20 +112,24 @@ _BY_ARGS = "args"
 class EparSet:
     """All parallel-step successors found, each with one witness.
 
-    `ordered` lists the successors in `term_key` order.  `reached_by` says
-    how each was first reached: None for the source itself, `KIND_ROOT`,
-    `KIND_BELOW`, or a step inside the arguments, whose witness combines
-    those of `args`, the successor sets of the source's arguments.
-    Witnesses are built when read, and only `pairs` keeps them, so a caller
-    that needs only the terms never builds a context.  Equality and hashing
-    are on (pairs, truncated).
+    `reached_by` says how each was first reached: None for the source
+    itself, `KIND_ROOT`, `KIND_BELOW`, or a step inside the arguments, whose
+    witness combines those of `args`, the successor sets of the source's
+    arguments.  `ordered` (the successors in `term_key` order; one term is
+    its own order) and `pairs` (each with its witness) are built when first
+    read, so a caller that needs only the terms sorts nothing and builds no
+    context.  Equality and hashing are on (pairs, truncated).
     """
 
     source: Term
-    ordered: tuple[Term, ...]
     reached_by: dict[Term, str | None] = field(repr=False)
     args: tuple[EparSet, ...] = field(repr=False)
     truncated: bool
+
+    @cached_property
+    def ordered(self) -> tuple[Term, ...]:
+        terms = tuple(self.reached_by)
+        return terms if len(terms) == 1 else tuple(sorted(terms, key=term_key))
 
     @cached_property
     def pairs(self) -> tuple[tuple[Term, EparStep], ...]:
@@ -166,7 +170,7 @@ class EparSet:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.ordered)
+        return len(self.reached_by)
 
 
 def _check_solvable(rule: Rule, index: int) -> None:
@@ -388,7 +392,7 @@ class Rewriter:
         """Successors of t under one parallel step at level n, with witnesses."""
         if n <= 0:
             # the level-0 parallel relation is the identity
-            return EparSet(t, (t,), {t: None}, (), False)
+            return EparSet(t, {t: None}, (), False)
         key = (t, n)
         cached = self._epar.get(key)
         if cached is not None:
@@ -420,8 +424,7 @@ class Rewriter:
                 reached_by[u] = _BY_ARGS
 
         truncated |= capped
-        ordered = tuple(sorted(reached_by, key=term_key))
-        result = self._epar[key] = EparSet(t, ordered, reached_by, args, truncated)
+        result = self._epar[key] = EparSet(t, reached_by, args, truncated)
         return result
 
 

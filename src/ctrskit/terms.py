@@ -331,14 +331,10 @@ def term_key(t: Term) -> tuple:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # all tuples of `parts` positive integers summing to `total`
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # tuples of `parts` positive integers summing to `total`, by cut points
+    if total >= parts:
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def ground_terms(symbols: Iterable[Symbol], max_size: int) -> list[Term]:

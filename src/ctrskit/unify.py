@@ -37,14 +37,12 @@ def mgu(s: Term, t: Term) -> Subst | None:
         b = apply_subst(b, sigma)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
             if a in iter_vars(b):
                 return None
             sigma = compose(sigma, Subst({a: b}))
-        elif isinstance(b, Var):
-            if b in iter_vars(a):
-                return None
-            sigma = compose(sigma, Subst({b: a}))
         elif a.symbol == b.symbol:
             stack.extend(zip(a.args, b.args))
         else:

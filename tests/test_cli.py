@@ -322,3 +322,28 @@ def test_cli_output_does_not_depend_on_the_hash_seed():
         results.append(json.loads(proc.stdout))
     assert len(results[0]) == 3 * len(list(CORPUS.glob("*.ctrs"))) + 7
     assert results[0] == results[1]
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # the reader is gone before the first write: unhandled, buffered stdout
+    # fails at the interpreter's last flush (exit 120), unbuffered in `print`
+    runs = [
+        (["check", FIB], 0),
+        (["check", OVERLAP, "--strict"], 1),
+        (["rewrite", FIB, "--term", "fib(s(0))", "--level", "2", "--steps", "3"], 0),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv, code in runs:
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ctrskit.cli", *argv],
+                    stdout=w, stderr=subprocess.PIPE, text=True,
+                    env=dict(env, **extra), timeout=300,
+                )
+            finally:
+                os.close(w)
+            assert (proc.returncode, proc.stderr) == (code, ""), (argv, extra)

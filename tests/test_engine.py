@@ -606,6 +606,24 @@ def test_witnesses_are_built_on_first_use(fib, fb, monkeypatch):
     assert succ.witness(t).ctx is HOLE and built == [t]
 
 
+def test_order_is_built_on_first_read(fib, fb, monkeypatch):
+    import ctrskit.engine as engine
+
+    rw = Rewriter(fib, BOUNDS)
+    t = fb.pair(fb.fib(fb.zero), fb.zero)
+    succ = rw.epar_successors(t, 2)
+    assert len(succ) > 1 and "ordered" not in succ.__dict__
+    assert succ.pairs and succ.__dict__["ordered"] == tuple(sorted(succ.terms, key=term_key))
+
+    def no_key(u):
+        raise AssertionError("a set of one term is its own order")
+
+    monkeypatch.setattr(engine, "term_key", no_key)
+    assert rw.epar_successors(t, 0).ordered == (t,)
+    # a normal form at level 2 reaches only itself
+    assert Rewriter(fib, BOUNDS).epar_successors(fb.zero, 2).ordered == (fb.zero,)
+
+
 def _outcome(call):
     try:
         result = call()

@@ -10,8 +10,10 @@ the same type, or raise the same exception with the same text.
 `rec_apply_subst` and `rec_skeleton` are the recursive substitution and IF1
 skeleton that `terms.fold` replaced: the fold must give equal terms and the
 same hole numbering, and substitution must hand back every subterm it leaves
-unchanged as the same object.  The depth test runs every converted walk on a
-term and a context far deeper than Python's recursion limit.
+unchanged as the same object.  `rec_compositions` is the recursion that
+`itertools.combinations` replaced behind `ground_terms`.  The depth test
+runs every converted walk on a term and a context far deeper than Python's
+recursion limit.
 """
 
 import random
@@ -42,6 +44,7 @@ from ctrskit.terms import (
     PositionError,
     Subst,
     Var,
+    _compositions,
     apply_subst,
     positioned_subterms,
     positions,
@@ -334,6 +337,23 @@ def test_context_walks_agree_with_the_recursive_ones():
             assert_same(decompose, rec_decompose, c, e)
             assert_same(leq, rec_leq, e, c)
             assert_same(leq, rec_leq, c, e)
+
+
+def rec_compositions(total, parts):
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in rec_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_agree_with_the_recursive_ones():
+    # from total 0: plain combinations would cut 0 into the one part (0,)
+    for total in range(16):
+        for parts in range(1, 7):
+            assert list(_compositions(total, parts)) == list(rec_compositions(total, parts))
 
 
 def rec_apply_subst(t, s):
