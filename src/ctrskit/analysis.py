@@ -45,7 +45,6 @@ from .terms import (
     positioned_subterms,
     render_vars,
     subterm_at,
-    with_args,
 )
 from .unify import RenamingScope, is_variant, mgu, rename_apart
 
@@ -174,7 +173,7 @@ def _skeleton(t: Term, system: Ctrs, holes: Iterator[int]) -> Term:
         return Var("_sk", next(holes))
 
     def node(u: Fun, args: list) -> Term:
-        u = with_args(u, args)
+        u = Fun(u.symbol, args)
         lhss = system.rules_by_symbol.get(u.symbol, ())
         return hole(u) if any(mgu(r.lhs, u) is not None for _, r in lhss) else u
 

@@ -7,9 +7,8 @@ validates the bounds; check and overlaps run no search and echo them in the
 JSON `bounds` key; rewrite takes its depth from --steps; epar and diamond use
 all three.  Exit codes: 0 a verdict or result was produced, 1 the verdict
 was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
-nested too deeply for the walks that still recurse: `==` between distinct
-equal terms, the first hash of a term, `mctxt.meet`, and the engine's
-recursion over arguments in `cstep_n`, `epar_successors` and
+nested too deeply for the walks that still recurse: `mctxt.meet`, and the
+engine's recursion over arguments in `cstep_n`, `epar_successors` and
 `EparSet.witness`.  A stdout whose reader has gone changes no exit code.
 """
 
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -49,6 +49,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+# built on the first call, so importers that never parse a command line skip it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrskit",
@@ -86,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all ground seed terms up to this size")
 
     return parser
-
-
-# built once: parsing reads the parser and never changes it
-_PARSER = build_parser()
 
 
 def _bounds(args: argparse.Namespace) -> Bounds:
@@ -246,7 +244,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, _load(args.file), _bounds(args))
     except (ParseError, EngineError, CliError) as e:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .ctrs import Condition, Ctrs, Rule, loose_conditions, rule_vars
 from .mctxt import HOLE, Mctxt, MFun, fill, of_term
@@ -126,18 +126,19 @@ class EparSet:
     args: tuple[EparSet, ...] = field(repr=False)
     truncated: bool
 
-    @cached_property
-    def ordered(self) -> tuple[Term, ...]:
-        terms = tuple(self.reached_by)
-        return terms if len(terms) == 1 else tuple(sorted(terms, key=term_key))
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[Term, EparStep], ...]:
-        return tuple((u, self.witness(u)) for u in self.ordered)
-
-    @cached_property
-    def terms(self) -> frozenset[Term]:
-        return frozenset(self.reached_by)
+    def __getattr__(self, name: str):
+        # a view is stored on first read; `cached_property` would take a lock
+        if name == "ordered":
+            terms = tuple(self.reached_by)
+            view = terms if len(terms) == 1 else tuple(sorted(terms, key=term_key))
+        elif name == "pairs":
+            view = tuple((u, self.witness(u)) for u in self.ordered)
+        elif name == "terms":
+            view = frozenset(self.reached_by)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, view)
+        return view
 
     def witness(self, u: Term) -> EparStep | None:
         if u not in self.reached_by:

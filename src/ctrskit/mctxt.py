@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .terms import Fun, Symbol, Term, Var, fold
+from .terms import Fun, Symbol, Term, Var, check_arity, fold
 
 
 class HoleCountError(ValueError):
@@ -42,8 +42,11 @@ class MFun:
     symbol: Symbol
     args: tuple["Mctxt", ...] = ()
 
-    # the same arity check and renderer as a term's
-    __post_init__ = Fun.__post_init__
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "args", tuple(self.args))
+        check_arity(self.symbol, self.args)
+
+    # the same renderer as a term's
     __str__ = Fun.__str__
 
 

@@ -1,23 +1,23 @@
 """First-order terms, positions, substitutions, matching, and basic predicates.
 
-Terms are immutable values with structural equality.  A variable carries a
+Terms are immutable and interned: two equal terms are one object, so `==` is
+identity, and a term is hashed once, as it is built.  A variable carries a
 base name plus an optional index, whose three ranges `Var` defines.
 Positions are 1-indexed paths, the root being the empty tuple.
 
 The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them; the walks that build bottom-up
 are `fold`, or a loop like `replace_at`'s.  So they work on terms nested
-deeper than Python's recursion limit.  What still recurses: `==` between
-distinct equal terms, the first hash of a term that was never hashed, and
-elsewhere `mctxt.meet` and the engine's recursion over arguments in
-`cstep_n`, `epar_successors` and `EparSet.witness`.
+deeper than Python's recursion limit.  What still recurses is elsewhere:
+`mctxt.meet` and the engine's recursion over arguments in `cstep_n`,
+`epar_successors` and `EparSet.witness`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+import weakref
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -25,19 +25,54 @@ class PositionError(ValueError):
     """A position does not exist in the term it was used on."""
 
 
-@dataclass(frozen=True)
+# The interning tables, from a node's fields to the one node built from them.
+# They hold weak references only, so their content is exactly the nodes alive
+# elsewhere: they keep no state past the terms a caller holds, and so are not
+# the module-global caches the design rules out.
+_SYMBOLS, _VARS, _FUNS = (weakref.WeakValueDictionary() for _ in range(3))
+_new, _set, _weakref_new = object.__new__, object.__setattr__, weakref.ref.__new__
+
+
+def _interned(table: weakref.WeakValueDictionary, key: tuple, node: Any) -> Any:
+    """Put node in table under key, as `table[key] = node` would without the
+    pure-Python `KeyedRef` constructor, which doubles the cost of a term."""
+    ref = _weakref_new(weakref.KeyedRef, node, table._remove)
+    ref.key = key
+    table.data[key] = ref
+    return node
+
+
+def _immutable(self: Any, *args: Any) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def check_arity(f: Symbol, args: tuple) -> None:
+    """Reject args unless there are exactly `f.arity` of them."""
+    if len(args) != f.arity:
+        raise ValueError(f"symbol {f.name!r} has arity {f.arity}, got {len(args)} argument(s)")
+
+
 class Symbol:
-    name: str
-    arity: int
+    __slots__ = ("name", "arity", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, arity: int) -> Symbol:
+        ref = _SYMBOLS.data.get((name, arity))
+        if ref is not None and (f := ref()) is not None:
+            return f
+        if not name:
             raise ValueError("symbol name must be non-empty")
-        if self.arity < 0:
-            raise ValueError(f"symbol {self.name!r} has negative arity")
+        if arity < 0:
+            raise ValueError(f"symbol {name!r} has negative arity")
+        f = _new(cls)
+        _set(f, "name", name)
+        _set(f, "arity", arity)
+        return _interned(_SYMBOLS, (name, arity), f)
+
+    def __reduce__(self):
+        return (Symbol, (self.name, self.arity))
 
 
-@dataclass(frozen=True)
 class Var:
     """A variable: a base name plus an index from one of three disjoint ranges.
 
@@ -50,44 +85,58 @@ class Var:
       ``None`` as -1, nor any rendered output, so nothing sorts or prints them.
     """
 
-    name: str
-    index: Optional[int] = None
+    __slots__ = ("name", "index", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
+
+    def __new__(cls, name: str, index: Optional[int] = None) -> Var:
+        ref = _VARS.data.get((name, index))
+        if ref is not None and (v := ref()) is not None:
+            return v
+        v = _new(cls)
+        _set(v, "name", name)
+        _set(v, "index", index)
+        return _interned(_VARS, (name, index), v)
+
+    def __reduce__(self):
+        return (Var, (self.name, self.index))
 
     def __str__(self) -> str:
         return self.name if self.index is None else f"{self.name}#{self.index}"
 
+    __repr__ = __str__
 
-@dataclass(frozen=True)
+
 class Fun:
-    symbol: Symbol
-    args: tuple["Term", ...] = ()
+    __slots__ = ("symbol", "args", "_hash", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.symbol.arity:
-            raise ValueError(
-                f"symbol {self.symbol.name!r} has arity {self.symbol.arity}, "
-                f"got {len(self.args)} argument(s)"
-            )
+    def __new__(cls, symbol: Symbol, args: Iterable[Term] = ()) -> Fun:
+        key = (symbol, tuple(args))
+        ref = _FUNS.data.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        check_arity(symbol, key[1])
+        t = _new(cls)
+        _set_symbol(t, symbol)
+        _set_args(t, key[1])
+        # the hash a dataclass would give, taken once: every memo lookup hashes
+        _set_hash(t, hash(key))
+        return _interned(_FUNS, key, t)
 
     def __hash__(self) -> int:
-        # the dataclass hash, computed once: terms are hashed on every memo
-        # lookup, and rehashing rebuilds the hash of every subterm
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.symbol, self.args))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __reduce__(self):
-        # string hashes differ between processes, so a pickle must not carry one
+        # the pickle re-interns, and carries no hash, which differs per process
         return (Fun, (self.symbol, self.args))
 
     def __str__(self) -> str:
         return render_term(self)
 
+    __repr__ = __str__
 
+
+_set_symbol, _set_args, _set_hash = (d.__set__ for d in (Fun.symbol, Fun.args, Fun._hash))
 Term = Union[Var, Fun]
 Position = tuple[int, ...]
 
@@ -270,15 +319,10 @@ def function_positions(t: Term) -> list[Position]:
     return [p for p, u in positioned_subterms(t) if isinstance(u, Fun)]
 
 
-def with_args(u: Fun, args: list) -> Fun:
-    """u with its arguments replaced by args: u itself when each is u's own."""
-    return u if all(map(operator.is_, args, u.args)) else Fun(u.symbol, tuple(args))
-
-
 def apply_subst(t: Term, s: Subst) -> Term:
     """t with each variable v replaced by `s.get(v)`; a subterm holding no
-    variable that s binds comes back as it is, not as a copy."""
-    return fold(t, s.get, with_args) if s else t
+    variable that s binds comes back as it is, since terms are interned."""
+    return fold(t, s.get, lambda u, args: Fun(u.symbol, args)) if s else t
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:

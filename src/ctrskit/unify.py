@@ -26,8 +26,8 @@ class RenamingScope:
 def mgu(s: Term, t: Term) -> Subst | None:
     """Most general unifier of s and t, or None (occurs-check included).
 
-    Recursive descent with eager composition: every popped pair is rewritten
-    by the substitution built so far, so the result is idempotent.
+    A stack loop with eager composition: every popped pair is rewritten by
+    the substitution built so far, so the result is idempotent.
     """
     sigma = Subst()
     stack: list[tuple[Term, Term]] = [(s, t)]

@@ -233,10 +233,25 @@ def run_fresh(script, *args, hash_seed="0"):
     )
 
 
-def test_too_deep_term_exits_2_without_a_traceback(tmp_path):
-    # each step nests the term one level deeper, past the recursion limit;
-    # s(z) -> z reaches terms equal to visited ones, and the dataclass ==
-    # between two distinct equal deep terms recurses in `new -= visited`
+def test_too_deep_term_exits_2_without_a_traceback():
+    # epar_successors still recurses over arguments, two frames a level
+    # where the parser takes one: under a lowered limit the parser reads
+    # s^100(0), and the engine's recursion on it overflows
+    script = (
+        "import sys\nfrom ctrskit.cli import main\n"
+        "sys.setrecursionlimit(150)\nsys.exit(main(sys.argv[1:]))\n"
+    )
+    term = "s(" * 100 + "0" + ")" * 100
+    proc = run_fresh(script, "epar", FIB, "--term", term, "--level", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: term nesting exceeds Python's recursion limit"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_deep_rewrite_back_to_visited_terms(tmp_path):
+    # each step nests the term one level deeper, past the recursion limit,
+    # and s(z) -> z reaches terms equal to visited ones, which `new -= visited`
+    # compares: term equality must not recurse
     path = tmp_path / "deep.ctrs"
     path.write_text("(VAR x)\n(RULES\n  f(x) -> f(s(x))\n  s(z) -> z\n)\n", encoding="utf-8")
     proc = run_fresh(
@@ -244,9 +259,9 @@ def test_too_deep_term_exits_2_without_a_traceback(tmp_path):
         "rewrite", str(path), "--term", "f(z)", "--level", "1",
         "--steps", "1200", "--max-depth", "1200",
     )
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: term nesting exceeds Python's recursion limit"]
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1202 and lines[-1] == "truncated: true"
 
 
 def test_deep_rewrite_renders_every_term(tmp_path):
@@ -314,14 +329,16 @@ print(json.dumps(out))
 
 
 def test_cli_output_does_not_depend_on_the_hash_seed():
-    # set and dict orders follow string hashes; no output may show them
+    # set and dict orders follow string hashes, and the addresses that
+    # symbols and variables hash by; no output may show them, so two
+    # processes under one seed must agree as well as two seeds
     results = []
-    for seed in ("0", "1"):
+    for seed in ("0", "0", "1"):
         proc = run_fresh(IDENTITY_SCRIPT, str(CORPUS), hash_seed=seed)
         assert proc.returncode == 0, proc.stderr[-2000:]
         results.append(json.loads(proc.stdout))
     assert len(results[0]) == 3 * len(list(CORPUS.glob("*.ctrs"))) + 7
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_closed_stdout_keeps_the_exit_code():

@@ -1,7 +1,13 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from ctrskit import terms
+from ctrskit.mctxt import HOLE, MFun
 from ctrskit.terms import (
     Fun,
     PositionError,
@@ -211,3 +217,51 @@ def test_cached_hash_is_the_structural_hash():
         if isinstance(t, Fun):
             assert hash(t) == hash((t.symbol, t.args)) == hash(t)
             assert hash(t) == hash(Fun(t.symbol, t.args))
+
+
+def tower(n):
+    t = Fun(Symbol("0", 0))
+    for _ in range(n):
+        t = Fun(Symbol("s", 1), (t,))
+    return t
+
+
+def test_equal_terms_are_one_object():
+    assert Fun(G, [a]) is Fun(G, (a,)) and Symbol("g", 1) is G and Var("x") is X
+    assert Var("x", 0) is Var("x", 0) and Var("x", 0) is not X
+    # built bottom-up and hashed at construction, so neither the build, nor
+    # ==, nor the hash recurses on a term far deeper than the recursion limit
+    t, u = tower(100000), tower(100000)
+    assert t is u and t == u and hash(t) == hash((t.symbol, t.args))
+
+
+def test_copies_and_pickles_are_the_interned_term():
+    t = f(g(X), Fun(B))
+    for x in (t, F, X, Var("y", 3)):
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.deepcopy(x) is x and copy.copy(x) is x
+    with pytest.raises(AttributeError):
+        t.args = ()
+
+
+def test_fun_and_mfun_share_the_arity_check():
+    with pytest.raises(ValueError) as by_fun:
+        Fun(G, (a, b))
+    with pytest.raises(ValueError) as by_mfun:
+        MFun(G, (HOLE, HOLE))
+    assert str(by_fun.value) == str(by_mfun.value) == (
+        "symbol 'g' has arity 1, got 2 argument(s)"
+    )
+
+
+def test_the_tables_hold_no_term_alive():
+    tables = (terms._SYMBOLS, terms._VARS, terms._FUNS)
+    gc.collect()
+    before = [len(table) for table in tables]
+    t = Fun(Symbol("probe", 2), (Var("probe", 7), Fun(Symbol("leaf", 0))))
+    assert [len(table) for table in tables] == [n + k for n, k in zip(before, (2, 1, 2))]
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert [len(table) for table in tables] == before
