@@ -332,9 +332,8 @@ def diamond_fuzz(
     """
     truncated = False
     peaks = 0
-    # one table for the whole call: a join is asked for at its first peak,
-    # as a walk of every (t, u) pair would, so first calls and any
-    # EngineError keep order, and each truncated flag is read once
+    # one table for the whole call: each join is asked for once, at its
+    # first peak, and each truncated flag is read once
     joins: dict[tuple[Term, int], EparSet] = {}
 
     def successors(t: Term, level: int) -> EparSet:

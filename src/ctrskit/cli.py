@@ -9,7 +9,9 @@ all three.  Exit codes: 0 a verdict or result was produced, 1 the verdict
 was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
 nested too deeply for the walks that still recurse: `mctxt.meet`, and the
 engine's recursion over arguments in `cstep_n`, `epar_successors` and
-`EparSet.witness`.  A stdout whose reader has gone changes no exit code.
+`EparSet.witness`.  A condition goal that holds a variable is no error: the
+engine leaves it unsolved and the result says `truncated`.  A stdout whose
+reader has gone changes no exit code.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .ctrs import (
     check_right_stable,
     classify_type,
 )
-from .engine import Bounds, EngineError, cstep_star, epar_successors
+from .engine import Bounds, cstep_star, epar_successors
 from .terms import ground_terms
 from . import reports
 
@@ -247,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, _load(args.file), _bounds(args))
-    except (ParseError, EngineError, CliError) as e:
+    except (ParseError, CliError) as e:
         print(f"error: {e}", file=sys.stderr)
     except RecursionError:
         print("error: term nesting exceeds Python's recursion limit", file=sys.stderr)

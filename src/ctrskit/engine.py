@@ -10,7 +10,9 @@ sequence at level n-1.
 
 All searches are bounded (sequence length and visited-set size), so answers
 are sound but complete only up to the bounds; whenever a cap cuts a search
-short the result says so via its `truncated` flag.
+short the result says so via its `truncated` flag.  The engine enumerates no
+instance of a variable: a condition whose instantiated lhs is not ground is
+left unsolved, and that cut sets `truncated` too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .ctrs import Condition, Ctrs, Rule, loose_conditions, rule_vars
+from .ctrs import Condition, Ctrs, rule_vars
 from .mctxt import HOLE, Mctxt, MFun, fill, of_term
 from .terms import (
     Fun,
@@ -30,7 +32,6 @@ from .terms import (
     compose,
     is_ground,
     match,
-    render_vars,
     term_key,
     vars_of,
 )
@@ -38,7 +39,7 @@ from .unify import RenamingScope, rename_apart
 
 
 class EngineError(RuntimeError):
-    """A rule cannot be executed by left-to-right condition solving."""
+    """Kept for importers; nothing in the engine raises it."""
 
 
 @dataclass(frozen=True)
@@ -174,17 +175,6 @@ class EparSet:
         return len(self.reached_by)
 
 
-def _check_solvable(rule: Rule, index: int) -> None:
-    """Reject rules whose conditions cannot be solved left to right."""
-    for i, cond, loose in loose_conditions(rule):
-        names = render_vars(loose)
-        raise EngineError(
-            f"rule {index + 1} is not solvable left-to-right: condition "
-            f"{i + 1} left-hand side {cond.lhs} uses variable(s) {names} "
-            f"bound by neither the rule lhs nor earlier condition rhss"
-        )
-
-
 _NO_STEPS: tuple[frozenset[Term], bool] = (frozenset(), False)
 
 
@@ -219,10 +209,8 @@ class Rewriter:
     def __init__(self, system: Ctrs, bounds: Bounds) -> None:
         self.bounds = bounds
         self._rules = system.rules_by_symbol
-        self._solvable: set[int] = set()
         self._roots: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
-        # a str is the text of the EngineError that expanding the term raised
-        self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool] | str] = {}
+        self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
         self._reach: dict[tuple[Term, int], ReachSet] = {}
         self._epar: dict[tuple[Term, int], EparSet] = {}
 
@@ -230,7 +218,8 @@ class Rewriter:
         self, conds: tuple[Condition, ...], sigma: Subst, n: int, frozen: frozenset
     ) -> tuple[frozenset[Subst], bool]:
         """Extensions of sigma solving conds left to right at level n,
-        binding no variable in frozen."""
+        binding no variable in frozen.  A goal that is not ground is not
+        solved: its extension is dropped and the result is truncated."""
         partial: set[Subst] = {sigma}
         truncated = False
         for cond in conds:
@@ -238,10 +227,8 @@ class Rewriter:
             for s in partial:
                 lhs_inst = apply_subst(cond.lhs, s)
                 if not is_ground(lhs_inst):
-                    raise EngineError(
-                        f"condition left-hand side {lhs_inst} is not ground after "
-                        f"substitution; left-to-right solving requires ground goals"
-                    )
+                    truncated = True
+                    continue
                 rhs_inst = apply_subst(cond.rhs, s)
                 reach = self.cstep_star(lhs_inst, n)
                 truncated |= reach.truncated
@@ -274,9 +261,6 @@ class Rewriter:
             sigma = match(rule.lhs, t)
             if sigma is None:
                 continue
-            if index not in self._solvable:
-                _check_solvable(rule, index)
-                self._solvable.add(index)
             if rigid is None:
                 rigid = vars_of(t)
             if rigid and not rigid.isdisjoint(set(rule_vars(rule)) - vars_of(rule.lhs)):
@@ -301,24 +285,15 @@ class Rewriter:
         key = (t, n)
         found = self._steps.get(key)
         if found is not None:
-            if isinstance(found, str):
-                raise EngineError(found)
             return found
-        try:
-            roots, truncated = self.root_steps(t, n)
-            out = set(roots)
-            args = t.args
-            for i, a in enumerate(args):
-                below, flag = self.cstep_n(a, n)
-                truncated |= flag
-                for u in below:
-                    out.add(Fun(t.symbol, args[:i] + (u,) + args[i + 1 :]))
-        except EngineError as exc:
-            # kept like a result: the term_key-ordered walk of a round that
-            # raised asks again, and so does every search that walk repeats;
-            # expanding again could double the work per level
-            self._steps[key] = str(exc)
-            raise
+        roots, truncated = self.root_steps(t, n)
+        out = set(roots)
+        args = t.args
+        for i, a in enumerate(args):
+            below, flag = self.cstep_n(a, n)
+            truncated |= flag
+            for u in below:
+                out.add(Fun(t.symbol, args[:i] + (u,) + args[i + 1 :]))
         found = self._steps[key] = (frozenset(out), truncated)
         return found
 
@@ -326,10 +301,9 @@ class Rewriter:
         """Terms reachable from t by at most max_depth level-n steps.
 
         Breadth-first, one round per step.  A round whose new terms fit
-        under max_terms, and whose expansions all succeed, takes them in any
-        order.  Otherwise order is observable, so the round is walked in
-        term_key order, and the walk ends the search: either the cap bites,
-        or it reaches the first term whose expansion raises.
+        under max_terms takes them in any order.  Otherwise the cap bites and
+        order decides what is kept, so the round is walked in term_key order,
+        and the walk ends the search.
         """
         if n <= 0:
             return ReachSet(frozenset({t}), False)
@@ -340,20 +314,15 @@ class Rewriter:
         max_terms = self.bounds.max_terms
         visited: set[Term] = {t}
         frontier: Collection[Term] = (t,)
-        previous: Collection[Term] = ()
         truncated = False
         for _ in range(self.bounds.max_depth):
             new: set[Term] = set()
-            try:
-                for u in frontier:
-                    succ, flag = self.cstep_n(u, n)
-                    truncated |= flag
-                    new |= succ
-                new -= visited
-                fits = not new or len(new) <= max_terms - len(visited)
-            except EngineError:
-                fits = False
-            if not fits:
+            for u in frontier:
+                succ, flag = self.cstep_n(u, n)
+                truncated |= flag
+                new |= succ
+            new -= visited
+            if new and len(new) > max_terms - len(visited):
                 kept = dict.fromkeys(visited)
                 for u in sorted(frontier, key=term_key):
                     if _admit(kept, self.cstep_n(u, n)[0], None, max_terms):
@@ -364,23 +333,9 @@ class Rewriter:
                 found = ReachSet(frozenset(visited), truncated)
                 break
             visited |= new
-            previous, frontier = frontier, new
+            frontier = new
         else:
             # depth ran out with a live frontier: flag if more was reachable
-            try:
-                for u in frontier:
-                    self.cstep_n(u, n)
-            except EngineError:
-                if previous:
-                    # the term_key-ordered search checks the frontier in the
-                    # order it found it and stops at the first live term, so
-                    # only an error before that term is raised
-                    frontier = dict.fromkeys(
-                        v
-                        for u in sorted(previous, key=term_key)
-                        for v in sorted(self.cstep_n(u, n)[0], key=term_key)
-                        if v in frontier
-                    )
             for u in frontier:
                 if not self.cstep_n(u, n)[0] <= visited:
                     truncated = True

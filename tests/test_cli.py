@@ -190,6 +190,28 @@ def test_bad_arguments_exit_2_with_one_error_line(capsys):
         assert (code, out, err.splitlines()) == (2, "", [line]), argv
 
 
+def test_a_condition_goal_that_holds_a_variable_is_a_cut(tmp_path, capsys):
+    # check says YES, and the searches that back the verdict run: the goal x
+    # holds a variable, which the engine leaves unsolved, so they say truncated
+    path = tmp_path / "loose.ctrs"
+    path.write_text("(VAR x y)\n(RULES\n  a -> a | x == y\n)\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out.splitlines()[0], err) == (0, "YES (level-confluent)", "")
+    # the fib rule's goal fib(x) holds the subject's x in the same way
+    runs = [
+        (["rewrite", str(path), "--term", "a", "--level", "1", "--steps", "2"],
+         "a\ntruncated: true\n"),
+        (["diamond", str(path), "--m", "1", "--n", "1", "--seed-size", "2"],
+         "no counterexample (1 peaks over 1 seeds, truncated: true)\n"),
+        (["rewrite", FIB, "--term", "fib(s(s(x)))", "--level", "2", "--steps", "2"],
+         "fib(s(s(x)))\ntruncated: true\n"),
+    ]
+    for argv, text in runs:
+        assert run(capsys, *argv) == (0, text, ""), argv
+        code, payload, err = run_json(capsys, *argv)
+        assert (code, payload["truncated"], err) == (0, True, ""), argv
+
+
 def test_rule_free_system_has_no_overlaps(tmp_path, capsys):
     path = tmp_path / "empty.ctrs"
     path.write_text("(VAR x)\n(RULES\n)\n", encoding="utf-8")

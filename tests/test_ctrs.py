@@ -179,9 +179,7 @@ def test_check_properly_oriented_uses_earlier_condition_rhss():
     assert check_properly_oriented(good).holds
 
 
-def test_binding_rule_witnesses_and_engine_errors_share_one_definition():
-    from ctrskit.engine import Bounds, EngineError, root_steps
-
+def test_binding_rule_witnesses_name_the_conditions_the_engine_cuts():
     bad = system(Rule(g(X), Y, (Condition(g(Y), a), Condition(Fun(F, (X, Y)), Y))))
     assert [(i, str(c), loose) for i, c, loose in loose_conditions(bad.rules[0])] == [
         (0, "g(y) == a", {Y}),
@@ -193,24 +191,20 @@ def test_binding_rule_witnesses_and_engine_errors_share_one_definition():
         "condition 2 left-hand side f(x, y) uses variable(s) y not bound by the rule lhs "
         "or earlier condition rhss",
     ]
-    with pytest.raises(EngineError) as err:
-        root_steps(g(a), 1, bad, Bounds())
-    assert str(err.value) == (
-        "rule 1 is not solvable left-to-right: condition 1 left-hand side g(y) uses "
-        "variable(s) y bound by neither the rule lhs nor earlier condition rhss"
-    )
+    # the loose y leaves condition 1's goal g(y) unsolved: no step, and a cut
+    assert Rewriter(bad, Bounds()).root_steps(g(a), 1) == (frozenset(), True)
     # a variable set is listed sorted by rendered name
     two = system(Rule(g(X), Z, (Condition(Fun(F, (Y, X1)), Z),)))
     assert [w.detail for w in check_properly_oriented(two).witnesses] == [
         "condition 1 left-hand side f(y, x#1) uses variable(s) x#1, y not bound by "
         "the rule lhs or earlier condition rhss"
     ]
-    with pytest.raises(EngineError) as err:
-        root_steps(g(a), 1, two, Bounds())
-    assert str(err.value) == (
-        "rule 1 is not solvable left-to-right: condition 1 left-hand side f(y, x#1) "
-        "uses variable(s) x#1, y bound by neither the rule lhs nor earlier condition rhss"
-    )
+    assert Rewriter(two, Bounds()).root_steps(g(a), 1) == (frozenset(), True)
+    # ordered so that nothing is loose, the same conditions are solved, and
+    # fail, with no cut
+    good = system(Rule(g(X), Y, (Condition(Fun(F, (X, X)), Y), Condition(g(Y), a))))
+    assert list(loose_conditions(good.rules[0])) == []
+    assert Rewriter(good, Bounds()).root_steps(g(a), 1) == (frozenset(), False)
 
 
 def test_pickled_systems_and_terms_rehash_in_another_process(fib):

@@ -9,7 +9,6 @@ import pytest
 from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.engine import (
     Bounds,
-    EngineError,
     EparStep,
     KIND_BELOW,
     KIND_ROOT,
@@ -89,16 +88,22 @@ def test_solve_conditions(fib, fb):
 
 
 def test_solve_conditions_rejects_non_ground_goal(fib):
+    # the goal fib(x) holds a variable, whose instances the engine does not
+    # enumerate: the goal is left unsolved, and that cut truncates
     cond = fib.rules[1].conds[0]
-    with pytest.raises(EngineError):
-        solve_conditions([cond], Subst(), 1, fib, BOUNDS)
+    assert Rewriter(fib, BOUNDS).solve_conditions((cond,), Subst(), 1, frozenset()) == (
+        frozenset(), True
+    )
+    assert solve_conditions([cond], Subst(), 1, fib, BOUNDS) == frozenset()
 
 
-def test_root_steps_engine_error_for_unsolvable_rule():
+def test_root_steps_of_an_unsolvable_rule_are_truncated():
     # the condition lhs mentions y which nothing has bound yet
     bad = Ctrs.from_rules((Rule(g(X), X, (Condition(g(Y), a),)),))
-    with pytest.raises(EngineError, match="rule 1"):
-        root_steps(g(a), 1, bad, BOUNDS)
+    assert Rewriter(bad, BOUNDS).root_steps(g(a), 1) == (frozenset(), True)
+    assert root_steps(g(a), 1, bad, BOUNDS) == frozenset()
+    # level 0 solves no condition, so nothing is cut
+    assert Rewriter(bad, BOUNDS).root_steps(g(a), 0) == (frozenset(), False)
 
 
 def test_cstep_n_rewrites_at_every_function_position(fib, fb, fib_universe):
@@ -320,13 +325,19 @@ def test_search_results_monotone_in_bounds(fib, fb):
     assert epar_small.terms <= epar_big.terms
 
 
-def test_open_subject_with_non_ground_condition_goal_errors():
+def test_open_subject_with_non_ground_condition_goal_is_truncated():
     # f(x) -> a <= x == c: on the open subject f(y) the condition goal is y,
-    # which bounded rewriting cannot enumerate
+    # which bounded rewriting cannot enumerate, so the step is cut
     spec = load_corpus("if2.ctrs")
     f = {s.name: s for s in spec.ctrs.symbols}["f"]
-    with pytest.raises(EngineError):
-        root_steps(Fun(f, (Var("y"),)), 3, spec.ctrs, BOUNDS)
+    subject = Fun(f, (Var("y"),))
+    rw = Rewriter(spec.ctrs, BOUNDS)
+    assert rw.root_steps(subject, 3) == (frozenset(), True)
+    assert rw.cstep_star(subject, 3) == ReachSet(frozenset({subject}), True)
+    # a ground subject solves the goal x == c
+    by_name = {s.name: s for s in spec.ctrs.symbols}
+    c_subject = Fun(f, (Fun(by_name["c"]),))
+    assert rw.root_steps(c_subject, 3) == ({Fun(by_name["a"])}, False)
 
 
 def test_rigid_subject_variables_are_not_narrowed():
@@ -396,16 +407,18 @@ def test_rewriters_keep_their_own_memo(fib, fb):
 
 
 def test_unsolvable_rule_is_checked_only_when_it_matches():
-    # rule 1 cannot be solved left to right, but only g-rooted terms reach it
+    # rule 1 cannot be solved left to right, but only g-rooted terms reach
+    # it, and only those searches are cut
     h = Symbol("h", 1)
     bad = Ctrs.from_rules((Rule(g(X), X, (Condition(g(Y), a),)), Rule(a, b)), (h,))
-    assert root_steps(a, 1, bad, BOUNDS) == {b}
-    assert cstep_n(Fun(h, (a,)), 1, bad, BOUNDS) == {Fun(h, (b,))}
-    assert cstep_star(Fun(h, (a,)), 2, bad, BOUNDS).terms == {Fun(h, (a,)), Fun(h, (b,))}
-    with pytest.raises(EngineError, match="rule 1"):
-        cstep_n(g(a), 1, bad, BOUNDS)
-    with pytest.raises(EngineError, match="rule 1"):
-        root_steps(g(b), 1, bad, BOUNDS)
+    rw = Rewriter(bad, BOUNDS)
+    assert rw.root_steps(a, 1) == ({b}, False)
+    assert rw.cstep_n(Fun(h, (a,)), 1) == ({Fun(h, (b,))}, False)
+    ha, hb = Fun(h, (a,)), Fun(h, (b,))
+    assert rw.cstep_star(ha, 2) == ReachSet(frozenset({ha, hb}), False)
+    assert rw.cstep_n(g(a), 1) == ({g(b)}, True)
+    assert rw.root_steps(g(b), 1) == (frozenset(), True)
+    assert rw.cstep_star(g(a), 1) == ReachSet(frozenset({g(a), g(b)}), True)
 
 
 def test_deep_terms_rewrite_below_the_recursion_limit():
@@ -627,23 +640,41 @@ def test_order_is_built_on_first_read(fib, fb, monkeypatch):
     assert Rewriter(fib, BOUNDS).epar_successors(fb.zero, 2).ordered == (fb.zero,)
 
 
-def _outcome(call):
-    try:
-        result = call()
-    except EngineError as exc:
-        return "raised", str(exc)
+class Counting(Rewriter):
+    """A Rewriter that records every root_steps call."""
+
+    def __init__(self, system, bounds):
+        super().__init__(system, bounds)
+        self.calls = []
+
+    def root_steps(self, t, n):
+        self.calls.append((t, n))
+        return super().root_steps(t, n)
+
+
+def _answer(rewriter, query, subject, level):
+    """cstep_star's or epar_successors' answer as (terms or pairs, truncated)."""
+    result = getattr(rewriter, query)(subject, level)
     if isinstance(result, ReachSet):
-        return "reach", result
+        return result.terms, result.truncated
     if isinstance(result, tuple):
-        return "epar", result
-    return "epar", (result.pairs, result.truncated)
+        return result
+    return result.pairs, result.truncated
+
+
+def assert_answers_match_the_oracle(system, subject, bounds, levels):
+    for level in levels:
+        rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
+        for query in ("cstep_star", "epar_successors"):
+            got = _answer(rw, query, subject, level)
+            assert got == _answer(oracle, query, subject, level), (bounds, level, query)
 
 
 def unsolvable_fan(prefix):
     """c steps to eight terms that each match a rule whose condition lhs uses
     an unbound y, and to z, whose three reducts can fill the cap.  In
-    term_key order the eight come first, so the ordered search raises for
-    the rule of the first of them, rule 1."""
+    term_key order the eight come first, so a walk in that order expands
+    them before z."""
     ks = [Symbol(f"{prefix}{i}", 1) for i in range(1, 9)]
     c, z = Symbol("c", 0), Symbol("z", 0)
     rules = [Rule(Fun(k, (X,)), X, (Condition(Fun(k, (Y,)), a),)) for k in ks]
@@ -653,32 +684,33 @@ def unsolvable_fan(prefix):
 
 
 def test_engine_error_matches_the_oracle_with_and_without_a_biting_cap():
-    # the unordered pass meets the eight rules in hash order, which differs
-    # per prefix, so a wrong message would show on some prefix
+    # the eight rules are cut, not refused; the unordered pass meets them in
+    # hash order, which differs per prefix, so an answer that depended on
+    # that order would show on some prefix
     for prefix in ("k", "m", "q"):
         system, subject = unsolvable_fan(prefix)
-        raised = set()
+        expanded = set()
         for max_terms in (BOUNDS.max_terms, *range(1, 13)):
             bounds = Bounds(8, 8, max_terms)
             for level in (1, 2):
-                rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
-                for query in ("cstep_star", "epar_successors"):
-                    got = _outcome(lambda: getattr(rw, query)(subject, level))
-                    want = _outcome(lambda: getattr(oracle, query)(subject, level))
-                    assert got == want, (prefix, max_terms, level, query)
-                    if got[0] == "raised":
-                        raised.add(max_terms)
-                        assert got[1].startswith("rule 1 is not solvable")
-        # from 10 terms on the eight all get in and are expanded; below 13
-        # the cap would still cut z's reducts in the round that raises
-        assert raised == {BOUNDS.max_terms, 10, 11, 12}
+                assert_answers_match_the_oracle(system, subject, bounds, (level,))
+                probe = Counting(system, bounds)
+                reach = probe.cstep_star(subject, level)
+                assert reach.truncated, (prefix, max_terms, level)
+                if any(t.symbol.name.startswith(prefix) for t, _ in probe.calls):
+                    expanded.add(max_terms)
+                    # c, the eight and z's family: only the cap can leave one out
+                    assert len(reach) == min(max_terms, 13)
+        # from 10 terms on the eight all get in and are expanded, and at the
+        # default, where the cap does not bite, their cut alone truncates
+        assert expanded == {BOUNDS.max_terms, 10, 11, 12}
 
 
 def test_a_nested_engine_error_is_searched_once_per_level():
     # h_i(x) -> x | h_(i+1)(x) == z nests one condition search per level
-    # down to a rule that cannot be solved left to right; each level's
-    # ordered rerun must not repeat the search below it, which would take
-    # 2^depth searches
+    # down to a rule whose condition goal holds an unbound variable; the cut
+    # there truncates every level above it, and no level repeats the search
+    # below it, which would take 2^depth searches
     depth = 12
     hs = [Symbol(f"h{i}", 1) for i in range(depth + 1)]
     rules = [
@@ -687,73 +719,58 @@ def test_a_nested_engine_error_is_searched_once_per_level():
     ]
     rules.append(Rule(Fun(hs[depth], (X,)), X, (Condition(Fun(hs[depth], (Y,)), a),)))
     system = Ctrs.from_rules(rules)
-    calls = []
-
-    class Counting(Rewriter):
-        def root_steps(self, t, n):
-            calls.append((t, n))
-            return super().root_steps(t, n)
-
-    for rw in (Counting(system, BOUNDS), OrderedEagerRewriter(system, BOUNDS)):
-        with pytest.raises(EngineError, match=f"rule {depth + 1} is not solvable"):
-            rw.cstep_star(Fun(hs[0], (a,)), depth + 1)
-    assert len(calls) <= 3 * (depth + 1)
-
-
-def assert_outcomes_match_the_oracle(system, subject, bounds, levels):
-    """cstep_star and epar_successors of subject give what the oracle gives,
-    the same EngineError text included; the outcome kinds seen."""
-    seen = set()
-    for level in levels:
-        rw, oracle = Rewriter(system, bounds), OrderedEagerRewriter(system, bounds)
-        for query in ("cstep_star", "epar_successors"):
-            got = _outcome(lambda: getattr(rw, query)(subject, level))
-            want = _outcome(lambda: getattr(oracle, query)(subject, level))
-            assert got == want, (bounds, level, query)
-            seen.add(got[0])
-    return seen
+    subject = Fun(hs[0], (a,))
+    rw = Counting(system, BOUNDS)
+    reach = rw.cstep_star(subject, depth + 1)
+    assert reach == ReachSet(frozenset({subject, a}), True)
+    assert reach == OrderedEagerRewriter(system, BOUNDS).cstep_star(subject, depth + 1)
+    assert len(rw.calls) <= 3 * (depth + 1)
 
 
 def test_depth_end_engine_error_matches_the_oracle():
-    # when depth runs out, the ordered search checks the frontier in the
-    # order it found it and stops at the first live term: with prefix zz,
-    # z comes first and is live, so no unsolvable rule is reached
-    for prefix, raises in (("k", True), ("zz", False)):
+    # when depth runs out, a live frontier term truncates whatever the
+    # order the frontier was found in: with prefix zz, z comes first in
+    # term_key order, and with prefix k the eight cut terms do
+    for prefix in ("k", "zz"):
         system, subject = unsolvable_fan(prefix)
         for max_depth in (0, 1, 2):
             for max_terms in (BOUNDS.max_terms, *range(1, 13)):
-                seen = assert_outcomes_match_the_oracle(
-                    system, subject, Bounds(8, max_depth, max_terms), (1, 2)
-                )
+                bounds = Bounds(8, max_depth, max_terms)
+                assert_answers_match_the_oracle(system, subject, bounds, (1, 2))
                 if max_depth == 1 and max_terms >= 10:
-                    assert ("raised" in seen) == raises, (prefix, max_terms)
+                    reach = Rewriter(system, bounds).cstep_star(subject, 1)
+                    assert (len(reach), reach.truncated) == (10, True), (prefix, max_terms)
 
 
 def test_depth_end_engine_error_follows_the_order_terms_were_found():
     # c steps to p1 and p2, which step to bb and aa: the frontier is found
     # as bb, aa, but aa comes first in term_key order, and only aa's rule
-    # cannot be solved left to right
+    # has a condition goal that holds a variable.  Depth cuts the first two
+    # searches; the third ends at the normal form e, and aa's cut truncates it
     c, e = Fun(Symbol("c", 0)), Fun(Symbol("e", 0))
     p1, p2, aa, bb = (Fun(Symbol(name, 0)) for name in ("p1", "p2", "aa", "bb"))
     rules = [Rule(c, p1), Rule(c, p2), Rule(p1, bb), Rule(p2, aa), Rule(bb, e)]
     rules.append(Rule(aa, e, (Condition(Fun(Symbol("f", 1), (Y,)), e),)))
     system = Ctrs.from_rules(rules)
-    outcomes = []
+    answers = []
     for max_depth in (1, 2, 3):
         bounds = Bounds(8, max_depth, BOUNDS.max_terms)
-        assert_outcomes_match_the_oracle(system, c, bounds, (1, 2))
-        outcomes.append(_outcome(lambda: Rewriter(system, bounds).cstep_star(c, 1)))
-    assert [kind for kind, _ in outcomes] == ["reach", "reach", "raised"]
-    assert outcomes[1][1] == ReachSet(frozenset({c, p1, p2, aa, bb}), True)
-    assert outcomes[2][1].startswith("rule 6 is not solvable")
+        assert_answers_match_the_oracle(system, c, bounds, (1, 2))
+        answers.append(Rewriter(system, bounds).cstep_star(c, 1))
+    assert answers == [
+        ReachSet(frozenset({c, p1, p2}), True),
+        ReachSet(frozenset({c, p1, p2, aa, bb}), True),
+        ReachSet(frozenset({c, p1, p2, aa, bb, e}), True),
+    ]
 
 
 def test_a_nested_engine_error_reached_from_two_terms_is_searched_once_per_level():
     # g_i steps to h_i(a) and h_i(b), whose conditions both search from
-    # g_(i+1), one level down, to a rule that cannot be solved left to
-    # right; a round that raised is walked again in term_key order, and
-    # unless each expansion's error is kept, each walk repeats the search
-    # below, doubling the work per level
+    # g_(i+1), one level down, to a rule whose condition goal holds an
+    # unbound variable; each search is kept by (term, level), so the second
+    # condition reuses the first's, instead of doubling the work per level.
+    # The cut does not end the search, so each level expands five terms:
+    # g_i, h_i(a), h_i(b), a and b, each once
     depth = 10
     gs = [Symbol(f"g{i}", 0) for i in range(depth + 1)]
     hs = [Symbol(f"h{i}", 1) for i in range(depth)]
@@ -764,14 +781,10 @@ def test_a_nested_engine_error_reached_from_two_terms_is_searched_once_per_level
         rules.append(Rule(Fun(h, (X,)), X, (Condition(Fun(below), Var("z")),)))
     rules.append(Rule(Fun(gs[depth]), a, (Condition(Fun(hs[0], (Y,)), a),)))
     system = Ctrs.from_rules(rules)
-    calls = []
-
-    class Counting(Rewriter):
-        def root_steps(self, t, n):
-            calls.append((t, n))
-            return super().root_steps(t, n)
-
-    assert_outcomes_match_the_oracle(system, Fun(gs[0]), BOUNDS, (depth + 1,))
-    with pytest.raises(EngineError, match=f"rule {3 * depth + 1} is not solvable"):
-        Counting(system, BOUNDS).cstep_star(Fun(gs[0]), depth + 1)
-    assert len(calls) <= 4 * (depth + 1)
+    subject = Fun(gs[0])
+    assert_answers_match_the_oracle(system, subject, BOUNDS, (depth + 1,))
+    rw = Counting(system, BOUNDS)
+    reach = rw.cstep_star(subject, depth + 1)
+    assert reach == ReachSet(frozenset({subject, Fun(hs[0], (a,)), Fun(hs[0], (b,)), a, b}), True)
+    assert len(rw.calls) == len(set(rw.calls)) <= 5 * (depth + 1)
+    assert [t for t, _ in rw.calls if t.symbol in gs] == [Fun(g) for g in gs]
