@@ -175,7 +175,7 @@ def _skeleton(t: Term, system: Ctrs, holes: Iterator[int]) -> Term:
     def node(u: Fun, args: list) -> Term:
         u = Fun(u.symbol, args)
         lhss = system.rules_by_symbol.get(u.symbol, ())
-        return hole(u) if any(mgu(r.lhs, u) is not None for _, r in lhss) else u
+        return hole(u) if any(mgu(r.lhs, u) is not None for r in lhss) else u
 
     return fold(t, hole, node)
 

@@ -57,7 +57,6 @@ class VariableAsLhsError(ParseError):
 class SourceSpec:
     ctrs: Ctrs
     var_names: tuple[str, ...]
-    condition_type: str = "ORIENTED"
 
 
 class _Token(NamedTuple):

@@ -115,16 +115,16 @@ class Ctrs:
         return (Ctrs, (self.symbols, self.rules))
 
     @cached_property
-    def rules_by_symbol(self) -> Mapping[Symbol, tuple[tuple[int, Rule], ...]]:
-        """(index, rule) pairs by lhs root symbol, each list in system order.
+    def rules_by_symbol(self) -> Mapping[Symbol, tuple[Rule, ...]]:
+        """The rules by lhs root symbol, each tuple in system order.
 
         Built on first use and kept for the life of the system; it is not a
         field, so equality, the hash and pickles ignore it.
         """
-        index: dict[Symbol, list[tuple[int, Rule]]] = {}
-        for i, rule in enumerate(self.rules):
-            index.setdefault(rule.lhs.symbol, []).append((i, rule))
-        return MappingProxyType({sym: tuple(pairs) for sym, pairs in index.items()})
+        index: dict[Symbol, list[Rule]] = {}
+        for rule in self.rules:
+            index.setdefault(rule.lhs.symbol, []).append(rule)
+        return MappingProxyType({sym: tuple(rules) for sym, rules in index.items()})
 
     @property
     def defined_symbols(self) -> frozenset[Symbol]:
@@ -190,7 +190,7 @@ def is_ground_normal_form_ru(t: Term, system: Ctrs) -> bool:
         return False
     index = system.rules_by_symbol
     for sub in subterms(t):
-        for _, rule in index.get(sub.symbol, ()):
+        for rule in index.get(sub.symbol, ()):
             if match(rule.lhs, sub) is not None:
                 return False
     return True

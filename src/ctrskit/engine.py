@@ -48,8 +48,8 @@ class Bounds:
 
     max_level caps the level arguments accepted from the command line,
     max_depth caps rewrite-sequence length, and max_terms caps the number of
-    distinct terms a single search may collect.  Results are monotone in each
-    bound: enlarging a bound never removes an answer.
+    distinct terms a single search may collect.  Where the cap cuts no
+    search, enlarging a bound never removes an answer.
     """
 
     max_level: int = 8
@@ -257,7 +257,7 @@ class Rewriter:
         out: set[Term] = set()
         truncated = False
         rigid = None
-        for index, rule in self._rules.get(t.symbol, ()):
+        for rule in self._rules.get(t.symbol, ()):
             sigma = match(rule.lhs, t)
             if sigma is None:
                 continue
@@ -300,10 +300,13 @@ class Rewriter:
     def cstep_star(self, t: Term, n: int) -> ReachSet:
         """Terms reachable from t by at most max_depth level-n steps.
 
-        Breadth-first, one round per step.  A round whose new terms fit
+        Breadth-first, one round per step, and every round ORs in the
+        `truncated` flag of each expansion.  A round whose new terms fit
         under max_terms takes them in any order.  Otherwise the cap bites and
         order decides what is kept, so the round is walked in term_key order,
-        and the walk ends the search.
+        and the walk ends the search.  Round max_depth only looks: a new term
+        there means depth cut the search.  max_depth also bounds the condition
+        searches nested in each step, so a low depth can hide a step too.
         """
         if n <= 0:
             return ReachSet(frozenset({t}), False)
@@ -311,37 +314,32 @@ class Rewriter:
         found = self._reach.get(key)
         if found is not None:
             return found
-        max_terms = self.bounds.max_terms
+        max_depth, max_terms = self.bounds.max_depth, self.bounds.max_terms
         visited: set[Term] = {t}
         frontier: Collection[Term] = (t,)
         truncated = False
-        for _ in range(self.bounds.max_depth):
+        for depth in range(max_depth + 1):
             new: set[Term] = set()
             for u in frontier:
                 succ, flag = self.cstep_n(u, n)
                 truncated |= flag
                 new |= succ
             new -= visited
-            if new and len(new) > max_terms - len(visited):
+            if not new:
+                break
+            if depth == max_depth:
+                truncated = True
+                break
+            if len(new) > max_terms - len(visited):
                 kept = dict.fromkeys(visited)
                 for u in sorted(frontier, key=term_key):
                     if _admit(kept, self.cstep_n(u, n)[0], None, max_terms):
                         break
-                found = ReachSet(frozenset(kept), True)
-                break
-            if not new:
-                found = ReachSet(frozenset(visited), truncated)
+                visited, truncated = set(kept), True
                 break
             visited |= new
             frontier = new
-        else:
-            # depth ran out with a live frontier: flag if more was reachable
-            for u in frontier:
-                if not self.cstep_n(u, n)[0] <= visited:
-                    truncated = True
-                    break
-            found = ReachSet(frozenset(visited), truncated)
-        self._reach[key] = found
+        found = self._reach[key] = ReachSet(frozenset(visited), truncated)
         return found
 
     def epar_successors(self, t: Term, n: int) -> EparSet:

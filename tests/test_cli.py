@@ -102,6 +102,20 @@ def test_rewrite(capsys):
     assert payload["truncated"] is False
 
 
+def test_rewrite_depth_zero_flags_the_step_it_hides(capsys):
+    # --steps also bounds the nested condition search: at 0 the condition of
+    # fib(s(0))'s rule finds no step, and that cut shows, since --steps 1
+    # reaches pair(s(0), add(0, s(0)))
+    argv = ("rewrite", FIB, "--term", "fib(s(0))", "--level", "2", "--steps", "0")
+    assert run(capsys, *argv) == (0, "fib(s(0))\ntruncated: true\n", "")
+    code, payload, err = run_json(capsys, *argv)
+    assert (code, payload["reachable"], payload["truncated"], err) == (
+        0, ["fib(s(0))"], True, ""
+    )
+    code, payload, _ = run_json(capsys, *argv[:-1], "1")
+    assert "pair(s(0), add(0, s(0)))" in payload["reachable"]
+
+
 def test_rewrite_level_cap(capsys):
     code, _, err = run(
         capsys, "rewrite", FIB, "--term", "fib(0)", "--level", "99", "--steps", "2"

@@ -68,7 +68,6 @@ TERM_ERRORS = [
 
 def test_parse_fib(fib_spec):
     system = fib_spec.ctrs
-    assert fib_spec.condition_type == "ORIENTED"
     assert fib_spec.var_names == ("x", "y", "z")
     assert len(system.rules) == 4
     assert len(system.rules[1].conds) == 1
@@ -250,7 +249,7 @@ def test_multiple_blocks_accumulate():
 
 def test_missing_conditiontype_defaults_to_oriented():
     spec = parse("(VAR x)(RULES f(x) -> x)")
-    assert spec.condition_type == "ORIENTED"
+    assert spec == parse("(CONDITIONTYPE ORIENTED)(VAR x)(RULES f(x) -> x)")
 
 
 def test_render_empty_system_roundtrips():

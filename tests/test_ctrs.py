@@ -110,9 +110,9 @@ def test_rules_by_symbol_is_one_cached_index_in_system_order():
     index = sys_.rules_by_symbol
     assert sys_.rules_by_symbol is index
     assert dict(index) == {
-        G: ((0, rules[0]), (2, rules[2])),
-        F: ((1, rules[1]),),
-        A: ((3, rules[3]),),
+        G: (rules[0], rules[2]),
+        F: (rules[1],),
+        A: (rules[3],),
     }
     with pytest.raises(TypeError):
         index[B] = ()

@@ -5,6 +5,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.engine import (
@@ -24,7 +26,7 @@ from ctrskit.engine import (
     verify_epar_step,
 )
 from ctrskit.mctxt import HOLE, MFun, fill, hole_count
-from ctrskit.terms import Fun, Subst, Symbol, Var, ground_terms, term_key
+from ctrskit.terms import Fun, Subst, Symbol, Var, apply_subst, ground_terms, term_key
 
 from ctrskit.cops import parse as parse_text
 
@@ -488,8 +490,8 @@ class OrderedEagerRewriter(Rewriter):
             truncated = True
         elif frontier:
             for u in frontier:
-                succ, _ = self.cstep_n(u, n)
-                if succ - visited:
+                succ, flag = self.cstep_n(u, n)
+                if flag or succ - visited:
                     truncated = True
                     break
         found = self._reach[key] = ReachSet(frozenset(visited), truncated)
@@ -727,6 +729,21 @@ def test_a_nested_engine_error_is_searched_once_per_level():
     assert len(rw.calls) <= 3 * (depth + 1)
 
 
+def test_depth_end_reads_the_flag_of_a_nested_search():
+    # h(a) steps to a once f(a, a) == b holds, which takes a step one level
+    # down; at depth 0 the condition search takes none, and that cut shows
+    spec = parse_text("(VAR x)(RULES h(x) -> a | f(x, x) == b  f(a, a) -> b)")
+    sym = {s.name: s for s in spec.ctrs.symbols}
+    a_, ha = Fun(sym["a"]), Fun(sym["h"], (Fun(sym["a"]),))
+    for depth, reach in ((0, ReachSet(frozenset({ha}), True)),
+                         (1, ReachSet(frozenset({ha, a_}), False))):
+        bounds = Bounds(8, depth, BOUNDS.max_terms)
+        rw = Rewriter(spec.ctrs, bounds)
+        assert rw.cstep_star(ha, 2) == reach
+        assert rw.epar_successors(ha, 2).truncated is reach.truncated
+        assert_answers_match_the_oracle(spec.ctrs, ha, bounds, (1, 2))
+
+
 def test_depth_end_engine_error_matches_the_oracle():
     # when depth runs out, a live frontier term truncates whatever the
     # order the frontier was found in: with prefix zz, z comes first in
@@ -788,3 +805,143 @@ def test_a_nested_engine_error_reached_from_two_terms_is_searched_once_per_level
     assert reach == ReachSet(frozenset({subject, Fun(hs[0], (a,)), Fun(hs[0], (b,)), a, b}), True)
     assert len(rw.calls) == len(set(rw.calls)) <= 5 * (depth + 1)
     assert [t for t, _ in rw.calls if t.symbol in gs] == [Fun(g) for g in gs]
+
+
+# Systems whose conditions are solved only after a nested step.  A chain
+# h0(x) -> r0 | h1(x) == d0, h1(x) -> r1 | h2(x) == d1, ... ends in a goal
+# such as f(x, x) that one of the base rules rewrites, so each link needs a
+# step one level below it, and a search at depth d runs each condition
+# search at depth d too.  A few random rules ride along.
+HS = tuple(Symbol(f"h{i}", 1) for i in range(3))
+NF, NG = Symbol("f", 2), Symbol("g", 1)
+NA, NB, NC = (Fun(Symbol(name, 0)) for name in "abc")
+NEST_SIG = (*HS, NF, NG, NA.symbol, NB.symbol, NC.symbol)
+
+
+def nf(s, t):
+    return Fun(NF, (s, t))
+
+
+def ng(t):
+    return Fun(NG, (t,))
+
+
+BASE_RULES = (
+    Rule(nf(NA, NA), NB),
+    Rule(nf(X, X), NC),
+    Rule(nf(NA, X), ng(X)),
+    Rule(ng(NA), NB),
+    Rule(ng(X), NA, (Condition(nf(X, X), NB),)),
+    Rule(NB, NC),
+)
+NEST_GOALS = (nf(X, X), nf(X, NA), ng(X))
+NEST_SEEDS = tuple(Fun(HS[0], (t,)) for t in (NA, NB, ng(NA))) + (nf(NA, NA), ng(NB))
+
+
+def nest_terms():
+    return st.recursive(
+        st.sampled_from((X, Y, NA, NB, NC)),
+        lambda kids: st.one_of(
+            st.builds(ng, kids),
+            st.builds(nf, kids, kids),
+            st.builds(lambda i, t: Fun(HS[i], (t,)), st.integers(0, 2), kids),
+        ),
+        max_leaves=4,
+    )
+
+
+nest_rules = st.builds(
+    lambda lhs, rhs, conds: Rule(lhs, rhs, tuple(conds)),
+    nest_terms().filter(lambda t: isinstance(t, Fun)),
+    nest_terms(),
+    st.lists(st.builds(Condition, nest_terms(), nest_terms()), max_size=1),
+)
+
+
+@st.composite
+def nested_systems(draw):
+    length = draw(st.integers(1, len(HS)))
+    rules = []
+    for i in range(length):
+        goal = Fun(HS[i + 1], (X,)) if i + 1 < length else draw(st.sampled_from(NEST_GOALS))
+        target = draw(st.sampled_from((NA, NB, NC, Y)))
+        rhs = draw(st.sampled_from((NA, NB, NC, X, ng(X)) + ((Y,) if target is Y else ())))
+        rules.append(Rule(Fun(HS[i], (X,)), rhs, (Condition(goal, target),)))
+    rules += draw(st.lists(st.sampled_from(BASE_RULES), min_size=1, max_size=3, unique=True))
+    rules += draw(st.lists(nest_rules, max_size=2))
+    return Ctrs.from_rules(draw(st.permutations(rules)), NEST_SIG), length
+
+
+class Probe(Rewriter):
+    """A Rewriter that counts the condition solutions that needed a step,
+    and notes whether max_terms may have cut one of its searches."""
+
+    nested = 0
+    capped = False
+
+    def solve_conditions(self, conds, sigma, n, frozen):
+        sols, truncated = super().solve_conditions(conds, sigma, n, frozen)
+        for s in sols:
+            self.nested += any(apply_subst(c.lhs, s) != apply_subst(c.rhs, s) for c in conds)
+        return sols, truncated
+
+    def cstep_star(self, t, n):
+        return self._note_cap(super().cstep_star(t, n))
+
+    def epar_successors(self, t, n):
+        return self._note_cap(super().epar_successors(t, n))
+
+    def _note_cap(self, result):
+        self.capped |= result.truncated and len(result) >= self.bounds.max_terms
+        return result
+
+
+def test_untruncated_searches_are_complete_and_results_grow_on_nested_conditions():
+    # a search that says it was not truncated finds what larger max_depth,
+    # max_terms or both find.  Results grow with the bounds and the level
+    # wherever the cap cut no search: a biting cap keeps a prefix of a
+    # breadth-first walk, and a larger relation can fill it with other terms
+    tally = {"untruncated": 0, "nested": 0, "grown": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(nested_systems())
+    def check(drawn):
+        system, length = drawn
+        probes: dict[Bounds, Probe] = {}
+
+        def probe(bounds):
+            return probes.get(bounds) or probes.setdefault(bounds, Probe(system, bounds))
+
+        def terms_of(query, found):
+            return {u for u, _ in found} if query == "epar_successors" else found
+
+        for subject in NEST_SEEDS:
+            for level in range(1, length + 2):
+                for depth, cap in itertools.product((0, 1, 2), (4, 48)):
+                    small = Bounds(8, depth, cap)
+                    fresh = Probe(system, small)
+                    for query in ("cstep_star", "epar_successors", "root_steps"):
+                        got = found, truncated = _answer(fresh, query, subject, level)
+                        assert got == _answer(probe(small), query, subject, level)
+                        terms = terms_of(query, found)
+                        where = (query, str(subject), level, small)
+                        if query == "cstep_star" and not truncated:
+                            tally["untruncated"] += 1
+                            tally["nested"] += fresh.nested > 0
+                        for bigger in (Bounds(8, depth, 480), Bounds(8, depth + 2, cap),
+                                       Bounds(8, depth + 2, 480)):
+                            big = _answer(probe(bigger), query, subject, level)
+                            if not truncated:
+                                assert big == got, (*where, bigger)
+                            if not (probe(small).capped or probe(bigger).capped):
+                                assert terms <= terms_of(query, big[0]), (*where, bigger)
+                                tally["grown"] += 1
+                        above = _answer(probe(small), query, subject, level + 1)[0]
+                        if not probe(small).capped:
+                            assert terms <= terms_of(query, above), where
+                            tally["grown"] += 1
+
+    check()
+    # the floors keep the test from passing vacuously: the first is the
+    # number of untruncated searches that solved a condition after a step
+    assert tally["nested"] >= 300 and tally["grown"] >= 60000, tally

@@ -368,7 +368,7 @@ def rec_skeleton(t, system, holes):
     if isinstance(t, Var):
         return Var("_sk", next(holes))
     u = Fun(t.symbol, tuple(rec_skeleton(a, system, holes) for a in t.args))
-    for _, rule in system.rules_by_symbol.get(t.symbol, ()):
+    for rule in system.rules_by_symbol.get(t.symbol, ()):
         if mgu(rule.lhs, u) is not None:
             return Var("_sk", next(holes))
     return u
