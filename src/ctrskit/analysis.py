@@ -46,7 +46,7 @@ from .terms import (
     render_vars,
     subterm_at,
 )
-from .unify import RenamingScope, is_variant, mgu, rename_apart
+from .unify import is_variant, mgu, rename_rule, renaming, rule_plan
 
 
 @dataclass(frozen=True)
@@ -139,22 +139,37 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     order, then function positions of the first lhs in left-outer order.
     A second rule is tried only at the positions carrying its lhs root
     symbol: no lhs is a variable, so at any other position `mgu` fails.
+
+    Renamings come from each rule's `rule_plan`, once per rule and scope; a
+    pair builds its whole second rule only if some position unifies.
     """
+    rules = system.rules
+    plans = [rule_plan(rule) for rule in rules]
+    # (rule index, scope start) -> the renaming and the renamed lhs
+    renamed: dict[tuple[int, int], tuple[Subst, Term]] = {}
     out: list[Overlap] = []
-    for i, first in enumerate(system.rules):
-        r1, scope = rename_apart(first, RenamingScope(0))
+    for i, first in enumerate(rules):
+        r1 = rename_rule(first, renaming(plans[i], 0))
+        start = len(plans[i])
         at: dict[Symbol, list[tuple[Position, Fun]]] = {}
         for pos, sub in positioned_subterms(r1.lhs):
             if isinstance(sub, Fun):
                 at.setdefault(sub.symbol, []).append((pos, sub))
-        for j, second in enumerate(system.rules):
+        for j, second in enumerate(rules):
             candidates = at.get(second.lhs.symbol)
             if candidates is None:
                 continue
-            r2, _ = rename_apart(second, scope)
+            found = renamed.get((j, start))
+            if found is None:
+                ren = renaming(plans[j], start)
+                found = renamed[j, start] = (ren, apply_subst(second.lhs, ren))
+            ren, lhs2 = found
+            r2 = None
             for pos, sub in candidates:
-                unifier = mgu(sub, r2.lhs)
+                unifier = mgu(sub, lhs2)
                 if unifier is not None:
+                    if r2 is None:
+                        r2 = rename_rule(second, ren)
                     out.append(Overlap(r1, r2, i, j, pos, unifier))
     return out
 

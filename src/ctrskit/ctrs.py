@@ -95,11 +95,16 @@ class Ctrs:
 
     @classmethod
     def from_rules(cls, rules: Iterable[Rule], extra_symbols: Iterable[Symbol] = ()) -> "Ctrs":
+        """The system over `extra_symbols` and every symbol of its rules; a
+        signature collected from the rules needs no `__post_init__` check."""
         rules = tuple(rules)
         syms = set(extra_symbols)
         for rule in rules:
             syms.update(rule_symbols(rule))
-        return cls(frozenset(syms), rules)
+        system = object.__new__(cls)
+        object.__setattr__(system, "symbols", frozenset(syms))
+        object.__setattr__(system, "rules", rules)
+        return system
 
     def __hash__(self) -> int:
         # the dataclass hash, computed once: a system keys every memo table

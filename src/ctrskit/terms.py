@@ -7,8 +7,9 @@ Positions are 1-indexed paths, the root being the empty tuple.
 
 The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them; the walks that build bottom-up
-are `fold`, or a loop like `replace_at`'s.  So they work on terms nested
-deeper than Python's recursion limit.  What still recurses is elsewhere:
+are `fold`, the term-only loop of `apply_subst`, or a loop like
+`replace_at`'s.  So they work on terms nested deeper than Python's recursion
+limit.  What still recurses is elsewhere:
 `mctxt.meet` and the engine's recursion over arguments in `cstep_n`,
 `epar_successors` and `EparSet.witness`.
 """
@@ -321,8 +322,31 @@ def function_positions(t: Term) -> list[Position]:
 
 def apply_subst(t: Term, s: Subst) -> Term:
     """t with each variable v replaced by `s.get(v)`; a subterm holding no
-    variable that s binds comes back as it is, since terms are interned."""
-    return fold(t, s.get, lambda u, args: Fun(u.symbol, args)) if s else t
+    variable that s binds comes back as it is.  The loop of `fold`, for terms
+    only, which rebuilds no node whose arguments are unchanged."""
+    if not s:
+        return t
+    image = s._map
+    if isinstance(t, Var):
+        return image.get(t, t)
+    order = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        if isinstance(u, Fun):
+            stack += u.args
+    done: list[Term] = []
+    for u in reversed(order):
+        if isinstance(u, Var):
+            done.append(image.get(u, u))
+        elif u.args:
+            k = len(done) - len(u.args)
+            args = tuple(done[k:])
+            done[k:] = [u if args == u.args else Fun(u.symbol, args)]
+        else:
+            done.append(u)
+    return done[0]
 
 
 def match(pattern: Term, subject: Term) -> Subst | None:

@@ -1,8 +1,13 @@
 """Syntactic unification, deterministic renaming-apart, and variant checks.
 
+Unification keeps its bindings in triangular form, which may hold bound
+variables, and resolves them once, at the end; neither loop recurses.
+
 Renaming is index bumping: a scope hands out strictly increasing indices, so
 rules renamed under successive scope states are variable-disjoint by
-construction and the whole pipeline stays reproducible.
+construction and the whole pipeline stays reproducible.  Renaming from index
+k maps the i-th variable of a rule's `rule_plan` to index k + i, so a caller
+that keeps the plan can rename the rule from any k.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .ctrs import Condition, Rule, rule_terms, rule_vars
-from .terms import Fun, Subst, Term, Var, apply_subst, compose, iter_vars
+from .terms import Fun, Subst, Term, Var, apply_subst, iter_vars
 
 
 @dataclass(frozen=True)
@@ -23,54 +28,103 @@ class RenamingScope:
             raise ValueError("renaming indices are natural numbers")
 
 
+def _occurs(v: Var, t: Term, bound: dict[Var, Term]) -> bool:
+    # v in t read through the bindings, each binding walked at most once
+    seen: set[Var] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Fun):
+            stack += u.args
+        elif u is v:
+            return True
+        elif u in bound and u not in seen:
+            seen.add(u)
+            stack.append(bound[u])
+    return False
+
+
+def _resolve(bound: dict[Var, Term]) -> Subst:
+    # a binding is resolved once every bound variable in it is; the occurs
+    # check keeps them acyclic.  Last one first: most hold later ones
+    resolved: dict[Var, Term] = {}
+    for root in reversed(bound):
+        todo = [root]
+        while todo:
+            v = todo.pop()
+            if v in resolved:
+                continue
+            t = bound[v]
+            inner = [u for u in iter_vars(t) if u in bound]
+            waiting = [u for u in inner if u not in resolved]
+            if waiting:
+                todo += [v, *waiting]
+            elif inner:
+                resolved[v] = apply_subst(t, Subst({u: resolved[u] for u in inner}))
+            else:
+                resolved[v] = t
+    return Subst({v: resolved[v] for v in bound})
+
+
 def mgu(s: Term, t: Term) -> Subst | None:
     """Most general unifier of s and t, or None (occurs-check included).
 
-    A stack loop with eager composition: every popped pair is rewritten by
-    the substitution built so far, so the result is idempotent.
+    A stack loop over triangular bindings: a popped pair is read through the
+    bindings at its two roots only, a variable is bound to the other side as
+    it stands, and the bindings are resolved once at the end.  The result is
+    idempotent, with one binding per bound variable in binding order.
     """
-    sigma = Subst()
+    bound: dict[Var, Term] = {}
     stack: list[tuple[Term, Term]] = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a = apply_subst(a, sigma)
-        b = apply_subst(b, sigma)
-        if a == b:
+        while isinstance(a, Var) and a in bound:
+            a = bound[a]
+        while isinstance(b, Var) and b in bound:
+            b = bound[b]
+        if a is b:
             continue
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if a in iter_vars(b):
+            if _occurs(a, b, bound):
                 return None
-            sigma = compose(sigma, Subst({a: b}))
-        elif a.symbol == b.symbol:
+            bound[a] = b
+        elif a.symbol is b.symbol:
             stack.extend(zip(a.args, b.args))
         else:
             return None
-    return sigma
+    return _resolve(bound)
 
 
-def _freshen(occurrences, scope: RenamingScope) -> tuple[Subst, RenamingScope]:
-    mapping: dict[Var, Term] = {}
-    nxt = scope.next_index
-    for v in occurrences:
-        if v not in mapping:
-            mapping[v] = Var(v.name, nxt)
-            nxt += 1
-    return Subst(mapping), RenamingScope(nxt)
+def rule_plan(rule: Rule) -> tuple[Var, ...]:
+    """The rule's variables, each once, in first-occurrence order."""
+    return tuple(dict.fromkeys(rule_vars(rule)))
+
+
+def renaming(variables: Iterable[Var], start: int) -> Subst:
+    """Maps the i-th of the distinct `variables` to its name at index start + i."""
+    return Subst({v: Var(v.name, i) for i, v in enumerate(variables, start)})
+
+
+def rename_rule(rule: Rule, ren: Subst) -> Rule:
+    """The rule with ren applied to each of its terms."""
+    lhs, rhs, *sides = [apply_subst(t, ren) for t in rule_terms(rule)]
+    return Rule(lhs, rhs, tuple(map(Condition, sides[::2], sides[1::2])))
 
 
 def rename_term_apart(t: Term, scope: RenamingScope) -> tuple[Term, RenamingScope]:
     """Injectively rename the variables of t to fresh indices from the scope."""
-    ren, scope = _freshen(iter_vars(t), scope)
-    return apply_subst(t, ren), scope
+    variables = dict.fromkeys(iter_vars(t))
+    ren = renaming(variables, scope.next_index)
+    return apply_subst(t, ren), RenamingScope(scope.next_index + len(variables))
 
 
 def rename_apart(rule: Rule, scope: RenamingScope) -> tuple[Rule, RenamingScope]:
     """A variant of the rule over fresh variables, plus the advanced scope."""
-    ren, scope = _freshen(rule_vars(rule), scope)
-    lhs, rhs, *sides = [apply_subst(t, ren) for t in rule_terms(rule)]
-    return Rule(lhs, rhs, tuple(map(Condition, sides[::2], sides[1::2]))), scope
+    plan = rule_plan(rule)
+    ren = renaming(plan, scope.next_index)
+    return rename_rule(rule, ren), RenamingScope(scope.next_index + len(plan))
 
 
 def _variant_pairs(pairs: Iterable[tuple[Term, Term]]) -> bool:

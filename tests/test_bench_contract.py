@@ -59,6 +59,21 @@ def test_traced_check_mix_disposes_every_overlap_through_the_index(tmp_path):
     assert trace["analysis.mgu_per_overlap"] < 2
 
 
+def test_traced_check_mix_renames_each_rule_once_and_composes_nothing(tmp_path):
+    trace = run_worker("check-mix", 1, tmp_path)["trace"]
+    assert trace["analysis.overlaps_found"] == 1784
+    # 2549 when mgu composed every binding into its substitution at once;
+    # the engine composes, but check-mix runs no engine search
+    assert trace["terms.compose.calls"] == 0
+    # 3540 when every first rule, and the second rule of every pair tried,
+    # was renamed whole through rename_apart; at most one per rule of the
+    # 1180, and none since each rule's renamings come from its variable list
+    assert trace["unify.rename_apart.calls"] <= 1180
+    # 27872 when mgu rewrote every popped pair by its substitution so far,
+    # and every pair tried renamed its second rule whole
+    assert trace["terms.apply_subst.calls"] <= 15988
+
+
 def test_traced_relation_chain_sorts_only_where_the_cap_can_bite(tmp_path):
     trace = run_worker("relation-chain", 1, tmp_path)["trace"]
     # 25533 when every search round sorted its frontier and successors,

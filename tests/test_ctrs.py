@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ctrskit.ctrs as ctrs_module
 from ctrskit.cops import parse
 from ctrskit.ctrs import (
     Condition,
@@ -308,6 +309,26 @@ def test_undeclared_symbol_error_names_the_first_in_rule_order():
     # from_rules collects the symbols of every part of every rule
     assert Ctrs.from_rules((rules[0][0],)).symbols == {A, B, F, G}
     assert Ctrs.from_rules((rules[2][0],), (A,)).symbols == {A, B, G}
+
+
+def test_each_construction_walks_each_rule_once(monkeypatch, fib):
+    walked = []
+    rule_symbols = ctrs_module.rule_symbols
+    monkeypatch.setattr(
+        ctrs_module, "rule_symbols", lambda rule: walked.append(rule) or rule_symbols(rule)
+    )
+    # from_rules collects the signature, which holds every symbol by
+    # construction, so it needs no second walk to check it
+    built = Ctrs.from_rules(fib.rules, (A,))
+    assert walked == list(fib.rules)
+    # a direct construction walks them once, to check the declared signature
+    walked.clear()
+    assert built == Ctrs(fib.symbols | {A}, fib.rules)
+    assert walked == list(fib.rules)
+    walked.clear()
+    with pytest.raises(ValueError, match="^symbol 'fib' not in"):
+        Ctrs(fib.symbols - fib.defined_symbols, fib.rules)
+    assert walked == [fib.rules[0]]
 
 
 def test_type_le_3_iff_rhs_vars_are_bound_somewhere():

@@ -11,14 +11,18 @@ the same type, or raise the same exception with the same text.
 skeleton that `terms.fold` replaced: the fold must give equal terms and the
 same hole numbering, and substitution must hand back every subterm it leaves
 unchanged as the same object.  `rec_compositions` is the recursion that
-`itertools.combinations` replaced behind `ground_terms`.  The depth test
-runs every converted walk on a term and a context far deeper than Python's
-recursion limit.
+`itertools.combinations` replaced behind `ground_terms`.  `eager_mgu` is the
+unification loop that composed a binding into an idempotent substitution
+each time it made one; `mgu`, which keeps triangular bindings and resolves
+them once, must return the same substitution with its bindings in the same
+order.  The depth test runs every converted walk on a term and a context far
+deeper than Python's recursion limit.
 """
 
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, count
 
 from hypothesis import given, settings
@@ -46,6 +50,9 @@ from ctrskit.terms import (
     Var,
     _compositions,
     apply_subst,
+    compose,
+    is_linear,
+    iter_vars,
     positioned_subterms,
     positions,
     render_term,
@@ -467,6 +474,22 @@ def test_walks_reach_below_the_recursion_limit():
         "assert is_term_variant(t, tower(y)) and is_term_variant(tower(y), t)\n"
         "assert not is_term_variant(t, tower(Fun(Symbol('0', 0))))\n"
         "assert mgu(x, t) is None\n"
+        "assert mgu(t, tower(Fun(Symbol('a', 0)))) == Subst({x: Fun(Symbol('a', 0))})\n"
+        "# a chain of N bindings: x_1 is bound first, to x_2, and so on, and\n"
+        "# every x_i resolves to x_{N+1}\n"
+        "xs = [Var('x', i) for i in range(N + 2)]\n"
+        "h = Symbol('h', N)\n"
+        "chain = mgu(Fun(h, xs[N:0:-1]), Fun(h, xs[N + 1:1:-1]))\n"
+        "assert list(chain.items()) == [(v, xs[N + 1]) for v in xs[1:N + 1]]\n"
+        "# x_i bound to f(x_{i-1}, x_{i-1}): as a tree the image of x_N has 2^N\n"
+        "# leaves, but each binding is resolved once, from the ones below it\n"
+        "f = Symbol('f', 2)\n"
+        "shared = mgu(Fun(h, xs[1:N + 1]), Fun(h, [Fun(f, (v, v)) for v in xs[:N]]))\n"
+        "image = xs[0]\n"
+        "for v in xs[1:N + 1]:\n"
+        "    image = Fun(f, (image, image))\n"
+        "    assert shared.get(v) is image\n"
+        "assert len(shared) == N\n"
         "def text(leaf, n=N):\n"
         "    return 's(' * n + leaf + ')' * n\n"
         "assert render_term(t) == str(t) == text('x')\n"
@@ -503,3 +526,95 @@ def test_walks_reach_below_the_recursion_limit():
         [sys.executable, "-c", script, *sys.path], capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+
+
+def eager_mgu(s, t, seen=None):
+    # every popped pair is rewritten by the substitution built so far, and
+    # every binding is composed into it at once; `seen` counts the bindings
+    # that rewrite an earlier one, which triangular bindings leave to the end
+    sigma = Subst()
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        a = apply_subst(a, sigma)
+        b = apply_subst(b, sigma)
+        if a == b:
+            continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if a in iter_vars(b):
+                return None
+            if seen is not None:
+                seen["rewrites"] += any(a in iter_vars(u) for _, u in sigma.items())
+            sigma = compose(sigma, Subst({a: b}))
+        elif a.symbol == b.symbol:
+            stack.extend(zip(a.args, b.args))
+        else:
+            return None
+    return sigma
+
+
+# a term with some subterms swapped for variables of VARS, so that two such
+# abstractions of one term share variables, repeat them, and often unify
+abstraction_choices = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(VARS)), max_size=6
+)
+
+
+def abstract(t, choices):
+    for seed, v in choices:
+        ps = positions(t)
+        t = replace_at(t, ps[seed % len(ps)], v)
+    return t
+
+
+def spine(ts):
+    # f(t1, f(t2, ... f(tn-1, tn))): one pair of spines unifies their
+    # arguments pairwise, so small arguments over few variables bind many of
+    # them, each binding often holding a variable bound before or after it
+    f = next(s for s in SIG5 if s.arity == 2)
+    out = ts[-1]
+    for t in reversed(ts[:-1]):
+        out = Fun(f, (t, out))
+    return out
+
+
+unification_pairs = st.one_of(
+    st.tuples(terms(12), terms(12)),
+    st.lists(st.tuples(*[st.sampled_from(VARS) | terms(2)] * 2), min_size=3, max_size=8).map(
+        lambda pairs: (spine([l for l, _ in pairs]), spine([r for _, r in pairs]))
+    ),
+    st.builds(
+        lambda c, left, right: (abstract(c, left), abstract(c, right)),
+        terms(16), abstraction_choices, abstraction_choices,
+    ),
+    st.builds(lambda t, ren: (t, apply_subst(t, ren)), terms(12), renamings),
+)
+
+
+def test_mgu_agrees_with_the_eager_oracle():
+    seen = Counter()
+
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(unification_pairs)
+    def check(pair):
+        for s, t in (pair, pair[::-1]):
+            got, want = mgu(s, t), eager_mgu(s, t, seen)
+            if want is None:
+                assert got is None, (str(s), str(t))
+                seen["none"] += 1
+                continue
+            assert got == want, (str(s), str(t))
+            # equal substitutions may still differ in binding order; pin that too
+            assert list(got.items()) == list(want.items()), (str(s), str(t))
+            seen["unified"] += 1
+            seen["several"] += len(got) >= 3
+            seen["shared"] += not vars_of(s).isdisjoint(vars_of(t))
+            seen["repeated"] += not (is_linear(s) and is_linear(t))
+
+    check()
+    # each kind of pair occurs often enough for agreement to mean something
+    assert seen["unified"] > 1500 and seen["none"] > 600, seen
+    assert seen["shared"] > 800 and seen["repeated"] > 600, seen
+    assert seen["several"] > 100 and seen["rewrites"] > 250, seen
