@@ -31,6 +31,7 @@ from .ctrs import (
     classify_type,
     is_ground_normal_form_ru,
     loose_rhs_vars,
+    rule_variables,
 )
 from .engine import Bounds, EparSet, epar_successors
 from .terms import (
@@ -46,7 +47,7 @@ from .terms import (
     render_vars,
     subterm_at,
 )
-from .unify import is_variant, mgu, rename_rule, renaming, rule_plan
+from .unify import is_variant, mgu, rename_rule, renaming
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,17 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     A second rule is tried only at the positions carrying its lhs root
     symbol: no lhs is a variable, so at any other position `mgu` fails.
 
-    Renamings come from each rule's `rule_plan`, once per rule and scope; a
-    pair builds its whole second rule only if some position unifies.
+    Renamings come from each rule's `rule_variables`, once per rule and
+    scope; a pair builds its whole second rule only if some position unifies.
     """
     rules = system.rules
-    plans = [rule_plan(rule) for rule in rules]
+    variables = [rule_variables(rule) for rule in rules]
     # (rule index, scope start) -> the renaming and the renamed lhs
     renamed: dict[tuple[int, int], tuple[Subst, Term]] = {}
     out: list[Overlap] = []
     for i, first in enumerate(rules):
-        r1 = rename_rule(first, renaming(plans[i], 0))
-        start = len(plans[i])
+        r1 = rename_rule(first, renaming(variables[i], 0))
+        start = len(variables[i])
         at: dict[Symbol, list[tuple[Position, Fun]]] = {}
         for pos, sub in positioned_subterms(r1.lhs):
             if isinstance(sub, Fun):
@@ -161,7 +162,7 @@ def conditional_overlaps(system: Ctrs) -> list[Overlap]:
                 continue
             found = renamed.get((j, start))
             if found is None:
-                ren = renaming(plans[j], start)
+                ren = renaming(variables[j], start)
                 found = renamed[j, start] = (ren, apply_subst(second.lhs, ren))
             ren, lhs2 = found
             r2 = None

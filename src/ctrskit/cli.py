@@ -7,11 +7,11 @@ validates the bounds; check and overlaps run no search and echo them in the
 JSON `bounds` key; rewrite takes its depth from --steps; epar and diamond use
 all three.  Exit codes: 0 a verdict or result was produced, 1 the verdict
 was NOT_APPLICABLE and --strict was given, 2 bad input, including a term
-nested too deeply for the walks that still recurse: `mctxt.meet`, and the
-engine's recursion over arguments in `cstep_n`, `epar_successors` and
-`EparSet.witness`.  A condition goal that holds a variable is no error: the
-engine leaves it unsolved and the result says `truncated`.  A stdout whose
-reader has gone changes no exit code.
+nested too deeply for the walks that still recurse: the engine's recursion
+over arguments in `cstep_n`, `epar_successors` and `EparSet.witness`.  A
+condition goal that holds a variable is no error: the engine leaves it
+unsolved and the result says `truncated`.  A stdout whose reader has gone
+changes no exit code.
 """
 
 from __future__ import annotations

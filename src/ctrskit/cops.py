@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ctrs import Condition, Ctrs, Rule, rule_vars
+from .ctrs import Condition, Ctrs, Rule, rule_variables
 from .terms import Fun, Symbol, Term, Var, render_term
 
 # optional whitespace (\s is str.isspace), then a punctuation token (group
@@ -257,15 +257,10 @@ def render_system(system: Ctrs) -> str:
     Only index-free variables (as produced by the parser) render to legal
     identifiers, so renamed-apart rules are for display, not round-trips.
     """
-    seen: list[str] = []
-    for rule in system.rules:
-        for v in rule_vars(rule):
-            label = str(v)
-            if label not in seen:
-                seen.append(label)
+    labels = dict.fromkeys(str(v) for rule in system.rules for v in rule_variables(rule))
     lines = ["(CONDITIONTYPE ORIENTED)"]
-    if seen:
-        lines.append(f"(VAR {' '.join(seen)})")
+    if labels:
+        lines.append(f"(VAR {' '.join(labels)})")
     lines.append("(RULES")
     for rule in system.rules:
         lines.append(f"  {render_rule(rule)}")

@@ -75,6 +75,16 @@ def rule_vars(r: Rule) -> Iterable[Var]:
         yield from iter_vars(t)
 
 
+def rule_variables(r: Rule) -> tuple[Var, ...]:
+    """The rule's variables, each once, in first-occurrence order."""
+    return tuple(dict.fromkeys(rule_vars(r)))
+
+
+def extra_vars(r: Rule) -> frozenset[Var]:
+    """The rule's variables that its lhs does not hold."""
+    return frozenset(rule_vars(r)) - vars_of(r.lhs)
+
+
 def rule_symbols(r: Rule) -> list[Symbol]:
     """Function symbol occurrences of a rule, in the order of `rule_terms`."""
     return [sub.symbol for t in rule_terms(r) for sub in subterms(t) if isinstance(sub, Fun)]
@@ -133,7 +143,7 @@ class Ctrs:
 
     @property
     def defined_symbols(self) -> frozenset[Symbol]:
-        return frozenset(r.lhs.symbol for r in self.rules if isinstance(r.lhs, Fun))
+        return frozenset(self.rules_by_symbol)
 
     @property
     def constructor_symbols(self) -> frozenset[Symbol]:
@@ -162,26 +172,25 @@ class PropertyReport:
 
 def loose_rhs_vars(rule: Rule) -> frozenset[Var]:
     """Variables of the rhs bound by neither the lhs nor any condition."""
-    bound = vars_of(rule.lhs).union(*(vars_of(c.lhs) | vars_of(c.rhs) for c in rule.conds))
-    return vars_of(rule.rhs) - bound
+    lhs, rhs, *sides = rule_terms(rule)
+    return vars_of(rhs).difference(vars_of(lhs), *map(iter_vars, sides))
+
+
+def rule_type(rule: Rule) -> int:
+    """The class in 1..4 of one rule, by where its extra variables occur.
+
+    1: no extra variables; 2: extra variables in conditions only; 3: rhs
+    extra variables, each bound by a condition; 4: anything else.
+    """
+    lhs_vars = vars_of(rule.lhs)
+    if not vars_of(rule.rhs) <= lhs_vars:
+        return 4 if loose_rhs_vars(rule) else 3
+    return 2 if rule.conds and not lhs_vars.issuperset(rule_vars(rule)) else 1
 
 
 def classify_type(system: Ctrs) -> int:
-    """Smallest class in 1..4 by where extra variables are allowed.
-
-    1: no extra variables anywhere; 2: rhs variables all bound by the lhs;
-    3: rhs variables bound by lhs or conditions; 4: anything else.
-    """
-    t = 1
-    for rule in system.rules:
-        lv = vars_of(rule.lhs)
-        if not vars_of(rule.rhs) <= lv:
-            if loose_rhs_vars(rule):
-                return 4
-            t = 3
-        elif t == 1 and not lv.issuperset(rule_vars(rule)):
-            t = 2
-    return t
+    """Smallest class in 1..4 that holds every rule: the largest `rule_type`."""
+    return max(map(rule_type, system.rules), default=1)
 
 
 def underlying_trs(system: Ctrs) -> list[tuple[Term, Term]]:
@@ -233,11 +242,11 @@ def check_properly_oriented(system: Ctrs) -> PropertyReport:
 
     For rules whose rhs introduces extra variables, every condition must
     obey the left-to-right binding rule of `loose_conditions`.  Rules
-    without extra rhs variables are exempt.
+    without extra rhs variables, those of `rule_type` 1 or 2, are exempt.
     """
     witnesses = []
     for idx, rule in enumerate(system.rules):
-        if vars_of(rule.rhs) <= vars_of(rule.lhs):
+        if rule_type(rule) <= 2:
             continue
         for i, cond, loose in loose_conditions(rule):
             names = render_vars(loose)

@@ -22,7 +22,7 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .ctrs import Condition, Ctrs, rule_vars
+from .ctrs import Condition, Ctrs, extra_vars
 from .mctxt import HOLE, Mctxt, MFun, fill, of_term
 from .terms import (
     Fun,
@@ -263,7 +263,7 @@ class Rewriter:
                 continue
             if rigid is None:
                 rigid = vars_of(t)
-            if rigid and not rigid.isdisjoint(set(rule_vars(rule)) - vars_of(rule.lhs)):
+            if rigid and not rigid.isdisjoint(extra_vars(rule)):
                 # the match binds every lhs variable, but a rule variable
                 # outside the lhs named like a subject variable is not that
                 # variable: rename the rule above every index of the subject

@@ -4,7 +4,7 @@ Contexts ordered by refinement (a hole may be replaced by any context) form a
 meet-semilattice; `meet` computes the greatest common prefix and `decompose`
 recovers the residues under a prefix.  Holes are filled left to right, which
 is what makes parallel rewrite steps over a shared context well defined.
-Every walk but `meet` is `terms.fold` or a stack loop, so none of them recurses.
+Every walk is `terms.fold` or a stack loop, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -101,16 +101,28 @@ def leq(c: Mctxt, d: Mctxt) -> bool:
 def meet(c: Mctxt, d: Mctxt) -> Mctxt:
     """Greatest lower bound under leq.
 
-    The recursion keeps nodes on which both sides agree and emits a hole at
-    any disagreement, a hole on either side included.
+    Keeps the nodes on which both sides agree and emits a hole at any
+    disagreement, a hole on either side included.  A pair loop lists the
+    agreed symbols and the leaves in right-to-left preorder, and they are
+    built in reverse, bottom-up, as `terms.fold` does; nothing recurses.
     """
-    if isinstance(c, Hole) or isinstance(d, Hole):
-        return HOLE
-    if isinstance(c, MVar):
-        return c if c == d else HOLE
-    if isinstance(d, MFun) and d.symbol == c.symbol:
-        return MFun(c.symbol, tuple(meet(ca, da) for ca, da in zip(c.args, d.args)))
-    return HOLE
+    order: list[Symbol | Mctxt] = []
+    stack = [(c, d)]
+    while stack:
+        ci, di = stack.pop()
+        if isinstance(ci, MFun) and isinstance(di, MFun) and ci.symbol == di.symbol:
+            order.append(ci.symbol)
+            stack += zip(ci.args, di.args)
+        else:
+            order.append(ci if isinstance(ci, MVar) and ci == di else HOLE)
+    done: list[Mctxt] = []
+    for item in reversed(order):
+        if isinstance(item, Symbol):
+            k = len(done) - item.arity
+            done[k:] = [MFun(item, done[k:])]
+        else:
+            done.append(item)
+    return done[0]
 
 
 def decompose(c: Mctxt, e: Mctxt) -> list[Mctxt]:

@@ -9,9 +9,8 @@ The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them; the walks that build bottom-up
 are `fold`, the term-only loop of `apply_subst`, or a loop like
 `replace_at`'s.  So they work on terms nested deeper than Python's recursion
-limit.  What still recurses is elsewhere:
-`mctxt.meet` and the engine's recursion over arguments in `cstep_n`,
-`epar_successors` and `EparSet.witness`.
+limit.  What still recurses is elsewhere: the engine's recursion over
+arguments in `cstep_n`, `epar_successors` and `EparSet.witness`.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ variables, and resolves them once, at the end; neither loop recurses.
 Renaming is index bumping: a scope hands out strictly increasing indices, so
 rules renamed under successive scope states are variable-disjoint by
 construction and the whole pipeline stays reproducible.  Renaming from index
-k maps the i-th variable of a rule's `rule_plan` to index k + i, so a caller
-that keeps the plan can rename the rule from any k.
+k maps the i-th of a rule's `ctrs.rule_variables` to index k + i, so a caller
+that keeps that list can rename the rule from any k.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ctrs import Condition, Rule, rule_terms, rule_vars
+from .ctrs import Condition, Rule, rule_terms, rule_variables
 from .terms import Fun, Subst, Term, Var, apply_subst, iter_vars
 
 
@@ -97,11 +97,6 @@ def mgu(s: Term, t: Term) -> Subst | None:
     return _resolve(bound)
 
 
-def rule_plan(rule: Rule) -> tuple[Var, ...]:
-    """The rule's variables, each once, in first-occurrence order."""
-    return tuple(dict.fromkeys(rule_vars(rule)))
-
-
 def renaming(variables: Iterable[Var], start: int) -> Subst:
     """Maps the i-th of the distinct `variables` to its name at index start + i."""
     return Subst({v: Var(v.name, i) for i, v in enumerate(variables, start)})
@@ -122,9 +117,9 @@ def rename_term_apart(t: Term, scope: RenamingScope) -> tuple[Term, RenamingScop
 
 def rename_apart(rule: Rule, scope: RenamingScope) -> tuple[Rule, RenamingScope]:
     """A variant of the rule over fresh variables, plus the advanced scope."""
-    plan = rule_plan(rule)
-    ren = renaming(plan, scope.next_index)
-    return rename_rule(rule, ren), RenamingScope(scope.next_index + len(plan))
+    variables = rule_variables(rule)
+    ren = renaming(variables, scope.next_index)
+    return rename_rule(rule, ren), RenamingScope(scope.next_index + len(variables))
 
 
 def _variant_pairs(pairs: Iterable[tuple[Term, Term]]) -> bool:

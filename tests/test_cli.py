@@ -3,7 +3,13 @@ import os
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ctrskit.cli import main
+from ctrskit.cops import parse, render_system
+from ctrskit.ctrs import Condition, Ctrs, Rule
+from ctrskit.terms import Fun, Symbol, Var, ground_terms, render_term
 
 from conftest import CORPUS, corpus_path
 
@@ -400,3 +406,56 @@ def test_closed_stdout_keeps_the_exit_code():
             finally:
                 os.close(w)
             assert (proc.returncode, proc.stderr) == (code, ""), (argv, extra)
+
+
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path, capsys):
+    # random systems written out as source files: every subcommand ends with
+    # a documented exit code, and nothing escapes as an exception
+    f, g, a, b = Symbol("f", 2), Symbol("g", 1), Symbol("a", 0), Symbol("b", 0)
+    terms = st.recursive(
+        st.sampled_from((Var("x"), Var("y"), Var("z"), Fun(a), Fun(b))),
+        lambda kids: st.one_of(
+            st.builds(lambda t: Fun(g, (t,)), kids),
+            st.builds(lambda s, t: Fun(f, (s, t)), kids, kids),
+        ),
+        max_leaves=4,
+    )
+    rules = st.builds(
+        lambda lhs, rhs, conds: Rule(lhs, rhs, tuple(conds)),
+        terms.filter(lambda t: isinstance(t, Fun)),
+        terms,
+        st.lists(st.builds(Condition, terms, terms), max_size=2),
+    )
+    path = tmp_path / "random.ctrs"
+    codes = {0: 0, 1: 0, 2: 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(rules, min_size=1, max_size=4), st.booleans())
+    def check(rule_list, strict):
+        path.write_text(render_system(Ctrs.from_rules(rule_list)), encoding="utf-8")
+        file = str(path)
+        runs = [
+            ["check", file] + ["--strict"] * strict,
+            ["check", file, "--json"],
+            ["props", file],
+            ["overlaps", file, "--json"],
+        ]
+        # the searches start at the largest ground term of at most 3 nodes,
+        # if the signature has a constant
+        ground = ground_terms(parse(path.read_text()).ctrs.symbols, 3)
+        if ground:
+            term = render_term(ground[-1])
+            runs += [
+                ["rewrite", file, "--term", term, "--level", "2", "--steps", "3",
+                 "--max-terms", "50"],
+                ["epar", file, "--term", term, "--level", "2", "--max-depth", "3",
+                 "--max-terms", "50"],
+            ]
+        for argv in runs:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+            codes[code] += 1
+
+    check()
+    # strict checks of systems outside the criterion exit 1; no input is bad
+    assert codes[1] >= 5 and codes[2] == 0, codes

@@ -18,7 +18,7 @@ from ctrskit.mctxt import (
     of_term,
     partition_by,
 )
-from ctrskit.terms import Fun
+from ctrskit.terms import Fun, Symbol
 
 from conftest import A, B, F, G, X, random_context, random_ground_term, random_prefix, random_term
 
@@ -86,6 +86,21 @@ def test_meet_examples():
     assert meet(cf(HOLE, ca), cf(cg(HOLE), ca)) == cf(HOLE, ca)
     c = cf(cg(HOLE), MVar(X))
     assert meet(c, c) == c
+
+
+def test_meet_of_contexts_deeper_than_the_recursion_limit():
+    # s^3000(0) as a context chain, and the same chain over a hole; the
+    # results are read through walks that do not recurse, never through ==
+    s, zero = Symbol("s", 1), Symbol("0", 0)
+    c, h = MFun(zero), HOLE
+    for _ in range(3000):
+        c, h = MFun(s, (c,)), MFun(s, (h,))
+    same = meet(c, c)
+    assert hole_count(same) == 0 and str(same) == str(c)
+    assert fill(same, []) is fill(c, [])
+    for m in (meet(c, h), meet(h, c)):
+        assert hole_count(m) == 1 and str(m) == str(h)
+        assert leq(m, c) and leq(m, h) and decompose(c, m) == [MFun(zero)]
 
 
 def enumerate_contexts(depth):

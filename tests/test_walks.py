@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from ctrskit.analysis import _skeleton, conditional_overlaps
 from ctrskit.ctrs import Condition, Ctrs, Rule, rule_terms
 from ctrskit.mctxt import (
+    HOLE,
     Hole,
     HoleCountError,
     MFun,
@@ -41,6 +42,7 @@ from ctrskit.mctxt import (
     fill_ctx,
     hole_count,
     leq,
+    meet,
     of_term,
 )
 from ctrskit.terms import (
@@ -264,6 +266,16 @@ def rec_leq(c, d):
     )
 
 
+def rec_meet(c, d):
+    if isinstance(c, Hole) or isinstance(d, Hole):
+        return HOLE
+    if isinstance(c, MVar):
+        return c if c == d else HOLE
+    if isinstance(d, MFun) and d.symbol == c.symbol:
+        return MFun(c.symbol, tuple(rec_meet(ca, da) for ca, da in zip(c.args, d.args)))
+    return HOLE
+
+
 def rec_decompose(c, e):
     out = []
 
@@ -344,6 +356,8 @@ def test_context_walks_agree_with_the_recursive_ones():
             assert_same(decompose, rec_decompose, c, e)
             assert_same(leq, rec_leq, e, c)
             assert_same(leq, rec_leq, c, e)
+            assert_same(meet, rec_meet, c, e)
+            assert_same(meet, rec_meet, e, c)
 
 
 def rec_compositions(total, parts):
@@ -445,7 +459,7 @@ def test_walks_reach_below_the_recursion_limit():
         "from ctrskit.analysis import _skeleton\n"
         "from ctrskit.ctrs import Ctrs, Rule\n"
         "from ctrskit.mctxt import (HOLE, MFun, MVar, NotAPrefixError, decompose,\n"
-        "    fill, fill_ctx, hole_count, leq, of_term)\n"
+        "    fill, fill_ctx, hole_count, leq, meet, of_term)\n"
         "from ctrskit.terms import (Fun, Subst, Symbol, Var, apply_subst, compose,\n"
         "    function_positions, is_constructor_term, is_ground, iter_vars,\n"
         "    positions, render_term, replace_at, term_key, term_size, vars_of)\n"
@@ -515,6 +529,8 @@ def test_walks_reach_below_the_recursion_limit():
         "assert str(fill_ctx(h, [h])) == text('\u25a1', 2 * N)\n"
         "assert leq(h, c) and not leq(c, h)\n"
         "assert decompose(c, h) == [MVar(x)]\n"
+        "assert str(meet(c, h)) == str(meet(h, c)) == str(h)\n"
+        "assert str(meet(c, c)) == text('x') and hole_count(meet(c, c)) == 0\n"
         "try:\n"
         "    decompose(h, c)\n"
         "except NotAPrefixError as e:\n"
