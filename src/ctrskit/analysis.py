@@ -45,7 +45,6 @@ from .terms import (
     fold,
     positioned_subterms,
     render_vars,
-    subterm_at,
 )
 from .unify import is_variant, mgu, rename_rule, renaming
 
@@ -60,12 +59,6 @@ class Overlap:
     rule2_index: int
     pos: Position
     mgu: Subst
-
-    def __post_init__(self) -> None:
-        a = apply_subst(subterm_at(self.rule1.lhs, self.pos), self.mgu)
-        b = apply_subst(self.rule2.lhs, self.mgu)
-        if a != b:
-            raise ValueError("substitution does not unify the overlapped sides")
 
     def combined_conditions(self) -> tuple[Condition, ...]:
         """Both rules' conditions instantiated by the unifier, in order."""

@@ -126,7 +126,7 @@ class Ctrs:
             return h
 
     def __reduce__(self):
-        # string hashes differ between processes, so a pickle must not carry one
+        # symbols and terms hash by address, so a pickle must not carry the hash
         return (Ctrs, (self.symbols, self.rules))
 
     @cached_property
@@ -240,13 +240,13 @@ def loose_conditions(rule: Rule) -> Iterator[tuple[int, Condition, frozenset[Var
 def check_properly_oriented(system: Ctrs) -> PropertyReport:
     """Condition left-hand sides only use variables already determined.
 
-    For rules whose rhs introduces extra variables, every condition must
-    obey the left-to-right binding rule of `loose_conditions`.  Rules
-    without extra rhs variables, those of `rule_type` 1 or 2, are exempt.
+    A rule whose rhs holds a variable its lhs does not, Var(r) ⊄ Var(l), must
+    have every condition obey the left-to-right binding rule of
+    `loose_conditions`.  Every other rule is exempt.
     """
     witnesses = []
     for idx, rule in enumerate(system.rules):
-        if rule_type(rule) <= 2:
+        if vars_of(rule.rhs) <= vars_of(rule.lhs):
             continue
         for i, cond, loose in loose_conditions(rule):
             names = render_vars(loose)

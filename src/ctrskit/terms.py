@@ -1,9 +1,9 @@
 """First-order terms, positions, substitutions, matching, and basic predicates.
 
-Terms are immutable and interned: two equal terms are one object, so `==` is
-identity, and a term is hashed once, as it is built.  A variable carries a
-base name plus an optional index, whose three ranges `Var` defines.
-Positions are 1-indexed paths, the root being the empty tuple.
+Terms are immutable and interned: two equal terms are one object, so `==` and
+the hash are both identity.  A variable carries a base name plus an optional
+index, whose three ranges `Var` defines.  Positions are 1-indexed paths, the
+root being the empty tuple.
 
 The walks that only read a term are stack loops, `subterms` and
 `positioned_subterms` or walks read off them; the walks that build bottom-up
@@ -107,7 +107,7 @@ class Var:
 
 
 class Fun:
-    __slots__ = ("symbol", "args", "_hash", "__weakref__")
+    __slots__ = ("symbol", "args", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, symbol: Symbol, args: Iterable[Term] = ()) -> Fun:
@@ -119,15 +119,10 @@ class Fun:
         t = _new(cls)
         _set_symbol(t, symbol)
         _set_args(t, key[1])
-        # the hash a dataclass would give, taken once: every memo lookup hashes
-        _set_hash(t, hash(key))
         return _interned(_FUNS, key, t)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # the pickle re-interns, and carries no hash, which differs per process
+        # the pickle re-interns: the term it loads is its process's one node
         return (Fun, (self.symbol, self.args))
 
     def __str__(self) -> str:
@@ -136,7 +131,7 @@ class Fun:
     __repr__ = __str__
 
 
-_set_symbol, _set_args, _set_hash = (d.__set__ for d in (Fun.symbol, Fun.args, Fun._hash))
+_set_symbol, _set_args = Fun.symbol.__set__, Fun.args.__set__
 Term = Union[Var, Fun]
 Position = tuple[int, ...]
 

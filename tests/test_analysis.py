@@ -489,6 +489,10 @@ def assert_matches_oracle(system):
     got = dispose_overlaps(system)
     want = oracle_dispositions(system)
     assert got == want
+    # every unifier unifies the overlapped sides
+    for od in got:
+        o = od.overlap
+        assert apply_subst(subterm_at(o.rule1.lhs, o.pos), o.mgu) == apply_subst(o.rule2.lhs, o.mgu)
     # equal substitutions may still differ in binding order; pin that too
     assert [list(od.overlap.mgu.items()) for od in got] == [
         list(od.overlap.mgu.items()) for od in want

@@ -70,11 +70,13 @@ def test_traced_check_mix_renames_each_rule_once_and_composes_nothing(tmp_path):
     # 1180, and none since each rule's renamings come from its variable list
     assert trace["unify.rename_apart.calls"] <= 1180
     # 27872 when mgu rewrote every popped pair by its substitution so far,
-    # and every pair tried renamed its second rule whole
-    assert trace["terms.apply_subst.calls"] <= 15988
+    # and every pair tried renamed its second rule whole;
+    # 15988 when each new Overlap re-applied its unifier to both sides
+    assert trace["terms.apply_subst.calls"] <= 12420
     # 10877 when the class checks each took the variables of a rule's terms
-    # on their own; 10099 since they read `rule_type`
-    assert trace["terms.vars_of.calls"] <= 10877
+    # on their own; 10099 since they read `rule_type`;
+    # 9907 since properly-oriented asks only whether the rhs adds a variable
+    assert trace["terms.vars_of.calls"] <= 9907
 
 
 def test_traced_relation_chain_sorts_only_where_the_cap_can_bite(tmp_path):

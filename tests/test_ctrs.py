@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -228,10 +229,10 @@ def test_binding_rule_witnesses_name_the_conditions_the_engine_cuts():
 
 
 def test_pickled_systems_and_terms_rehash_in_another_process(fib):
-    # hashes of strings differ between processes, so a hash cached in one
-    # process must not travel with the pickle
+    # symbols and terms hash by address, which differs between processes, so
+    # a system's cached hash must not travel with its pickle, and a term must
+    # load as the interned one
     t = fib.rules[0].lhs
-    assert hash(fib) == hash((fib.symbols, fib.rules)) and hash(t) == hash((t.symbol, t.args))
     child = (
         "import pickle, sys\n"
         "from ctrskit.cops import parse\n"
@@ -431,3 +432,55 @@ def test_classify_type_is_the_largest_rule_type_and_agrees_with_the_loop():
     check()
     # 53, 85, 45 and 117 systems per class 1-4 when this was written
     assert all(per_class[k] >= 25 for k in (1, 2, 3, 4)), per_class
+
+
+def oracle_term_vars(t):
+    return {t} if isinstance(t, Var) else set().union(*map(oracle_term_vars, t.args))
+
+
+def oracle_properly_oriented(system):
+    # Suzuki, Middeldorp and Ida (RTA 1995): a rule l -> r <= s1 == t1, ...,
+    # sn == tn with Var(r) not a subset of Var(l) has Var(si) a subset of
+    # Var(l) and the Var(tj), j < i, for each i; a rule with Var(r) a subset
+    # of Var(l) is exempt.  Returns the breaches as (rule, condition, loose
+    # variables), and the exempt rules whose conditions would breach it
+    breaches, exempt = [], []
+    for idx, rule in enumerate(system.rules):
+        lhs_vars = oracle_term_vars(rule.lhs)
+        bound = set(lhs_vars)
+        for i, cond in enumerate(rule.conds):
+            loose = oracle_term_vars(cond.lhs) - bound
+            if loose and oracle_term_vars(rule.rhs) <= lhs_vars:
+                exempt.append(idx)
+            elif loose:
+                breaches.append((idx, i, loose))
+            bound |= oracle_term_vars(cond.rhs)
+    return breaches, exempt
+
+
+WITNESS = re.compile(r"condition (\d+) left-hand side .* uses variable\(s\) (.*) not bound by")
+
+
+def test_properly_oriented_agrees_with_the_definition():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(class_rules, min_size=1, max_size=3))
+    def check(rule_list):
+        sys_ = system(*rule_list)
+        report = check_properly_oriented(sys_)
+        breaches, exempt = oracle_properly_oriented(sys_)
+        got = []
+        for w in report.witnesses:
+            cond, names = WITNESS.match(w.detail).groups()
+            got.append((w.rule_index, int(cond) - 1, names))
+        want = [(idx, i, ", ".join(sorted(map(str, loose)))) for idx, i, loose in breaches]
+        assert report.holds == (not breaches) and got == want, rule_list
+        seen["fails"] += bool(breaches)
+        seen["exempt"] += bool(exempt)
+
+    check()
+    # systems that fail, and systems with a rule that breaches the binding
+    # rule but is exempt, both of which a checker that confused the two
+    # cases would get wrong
+    assert seen["fails"] >= 25 and seen["exempt"] >= 25, seen

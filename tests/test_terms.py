@@ -210,13 +210,13 @@ def test_ground_terms_fib_signature_count(fib):
     assert len(ground_terms(fib.symbols, 6)) == total
 
 
-def test_cached_hash_is_the_structural_hash():
+def test_equal_terms_hash_alike_by_identity():
     rng = random.Random(5)
     for _ in range(100):
         t = random_term(rng, 4)
         if isinstance(t, Fun):
-            assert hash(t) == hash((t.symbol, t.args)) == hash(t)
-            assert hash(t) == hash(Fun(t.symbol, t.args))
+            assert Fun(t.symbol, t.args) is t
+            assert hash(t) == hash(Fun(t.symbol, t.args)) == object.__hash__(t)
 
 
 def tower(n):
@@ -229,10 +229,10 @@ def tower(n):
 def test_equal_terms_are_one_object():
     assert Fun(G, [a]) is Fun(G, (a,)) and Symbol("g", 1) is G and Var("x") is X
     assert Var("x", 0) is Var("x", 0) and Var("x", 0) is not X
-    # built bottom-up and hashed at construction, so neither the build, nor
-    # ==, nor the hash recurses on a term far deeper than the recursion limit
+    # built bottom-up and hashed by identity, so neither the build, nor ==,
+    # nor the hash recurses on a term far deeper than the recursion limit
     t, u = tower(100000), tower(100000)
-    assert t is u and t == u and hash(t) == hash((t.symbol, t.args))
+    assert t is u and t == u and hash(t) == hash(u)
 
 
 def test_copies_and_pickles_are_the_interned_term():
