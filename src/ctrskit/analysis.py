@@ -128,42 +128,29 @@ class Verdict:
 def conditional_overlaps(system: Ctrs) -> list[Overlap]:
     """All overlaps between ordered pairs of renamed-apart rules.
 
-    Each pair, a rule paired with its own fresh variant included, is renamed
-    from a fresh scope, so enumeration is deterministic: rule-index pairs in
+    Each rule is renamed twice, once per role: as a first rule from index 0
+    and as a second rule from k, the most variables any one rule has.  So
+    the two sides of every pair, a rule and its own variant included, are
+    variable-disjoint, and enumeration is deterministic: rule-index pairs in
     order, then function positions of the first lhs in left-outer order.
     A second rule is tried only at the positions carrying its lhs root
     symbol: no lhs is a variable, so at any other position `mgu` fails.
-
-    Renamings come from each rule's `rule_variables`, once per rule and
-    scope; a pair builds its whole second rule only if some position unifies.
     """
     rules = system.rules
     variables = [rule_variables(rule) for rule in rules]
-    # (rule index, scope start) -> the renaming and the renamed lhs
-    renamed: dict[tuple[int, int], tuple[Subst, Term]] = {}
+    k = max(map(len, variables), default=0)
+    firsts = [rename_rule(r, renaming(vs, 0)) for r, vs in zip(rules, variables)]
+    seconds = [rename_rule(r, renaming(vs, k)) for r, vs in zip(rules, variables)]
     out: list[Overlap] = []
-    for i, first in enumerate(rules):
-        r1 = rename_rule(first, renaming(variables[i], 0))
-        start = len(variables[i])
+    for i, r1 in enumerate(firsts):
         at: dict[Symbol, list[tuple[Position, Fun]]] = {}
         for pos, sub in positioned_subterms(r1.lhs):
             if isinstance(sub, Fun):
                 at.setdefault(sub.symbol, []).append((pos, sub))
-        for j, second in enumerate(rules):
-            candidates = at.get(second.lhs.symbol)
-            if candidates is None:
-                continue
-            found = renamed.get((j, start))
-            if found is None:
-                ren = renaming(variables[j], start)
-                found = renamed[j, start] = (ren, apply_subst(second.lhs, ren))
-            ren, lhs2 = found
-            r2 = None
-            for pos, sub in candidates:
-                unifier = mgu(sub, lhs2)
+        for j, r2 in enumerate(seconds):
+            for pos, sub in at.get(r2.lhs.symbol, ()):
+                unifier = mgu(sub, r2.lhs)
                 if unifier is not None:
-                    if r2 is None:
-                        r2 = rename_rule(second, ren)
                     out.append(Overlap(r1, r2, i, j, pos, unifier))
     return out
 

@@ -42,11 +42,11 @@ class CliError(Exception):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("file", help="system description file")
-    sub.add_argument("--max-level", type=int, default=8, metavar="N",
+    sub.add_argument("--max-level", type=int, default=Bounds.max_level, metavar="N",
                      help="largest level accepted for level arguments")
-    sub.add_argument("--max-depth", type=int, default=8, metavar="N",
+    sub.add_argument("--max-depth", type=int, default=Bounds.max_depth, metavar="N",
                      help="rewrite sequence length cap")
-    sub.add_argument("--max-terms", type=int, default=4096, metavar="N",
+    sub.add_argument("--max-terms", type=int, default=Bounds.max_terms, metavar="N",
                      help="visited-term cap per search")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -393,18 +393,24 @@ def test_diamond_fuzz_asks_for_joins_in_the_oracle_order(fib, monkeypatch):
 
 
 # The unindexed enumeration and IF1 test, kept as an oracle for the indexed
-# ones: every ordered rule pair renamed from a fresh scope and unified at
-# every function position, every lhs tried at every skeleton node, and hole
+# ones: every ordered rule pair renamed apart, the first rule from index 0
+# and the second from past the most variables any rule has, and unified at
+# every function position; every lhs tried at every skeleton node, and hole
 # numbering that starts above every `_sk` variable of the whole system.
 
 
+def variable_count(rule):
+    sides = [rule.lhs, rule.rhs] + [side for c in rule.conds for side in (c.lhs, c.rhs)]
+    return len({v for t in sides for v in iter_vars(t)})
+
+
 def oracle_overlaps(system):
+    k = max(map(variable_count, system.rules), default=0)
     out = []
     for i, first in enumerate(system.rules):
         for j, second in enumerate(system.rules):
-            scope = RenamingScope(0)
-            r1, scope = rename_apart(first, scope)
-            r2, scope = rename_apart(second, scope)
+            r1, _ = rename_apart(first, RenamingScope(0))
+            r2, _ = rename_apart(second, RenamingScope(k))
             for pos in function_positions(r1.lhs):
                 unifier = mgu(subterm_at(r1.lhs, pos), r2.lhs)
                 if unifier is not None:
@@ -521,6 +527,10 @@ HAND_BUILT = {
         "(VAR x y)(RULES f(g(x), a) -> x | g(x) == b  g(b) -> a | b == a  "
         "f(y, a) -> y | g(y) == a)"
     ),
+    # a chained unifier at the root of rules 1 and 2: x is bound to z, then
+    # y to g(x), which mgu must resolve to g(z) for the sides to meet; rule 3
+    # overlaps rule 1 below the root
+    "chained": "(VAR x y z)(RULES f(g(x), x) -> a  f(y, z) -> b  g(a) -> b)",
 }
 
 
@@ -533,6 +543,29 @@ def test_indexed_enumeration_matches_oracle_on_hand_built_systems():
         assert any(od.overlap.pos != () for od in dispositions), name
     seen = {od.disposition for ods in found.values() for od in ods}
     assert {DISP_ROOT_VARIANT, DISP_IF1, DISP_UNKNOWN} <= seen
+
+
+def test_enumeration_renames_each_rule_once_per_role(monkeypatch):
+    # a first and a second variant of every rule, whatever overlaps; a rule
+    # always overlaps its own variant at the root, so none goes unused
+    import ctrskit.analysis as analysis
+
+    calls = []
+
+    def counted(rule, ren):
+        calls.append(rule)
+        return rename_rule(rule, ren)
+
+    monkeypatch.setattr(analysis, "rename_rule", counted)
+    systems = [load_corpus(path.name).ctrs for path in sorted(CORPUS.glob("*.ctrs"))]
+    systems += [parse_rules(text) for text in HAND_BUILT.values()]
+    for system in systems:
+        calls.clear()
+        overlaps = conditional_overlaps(system)
+        assert Counter(calls) == Counter(system.rules * 2)
+        assert {(o.rule1_index, o.rule2_index) for o in overlaps if o.pos == ()} >= {
+            (i, i) for i in range(len(system.rules))
+        }
 
 
 SIG = (Symbol("f", 2), Symbol("g", 1), Symbol("a", 0), Symbol("b", 0))

@@ -6,9 +6,11 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrskit import cli
 from ctrskit.cli import main
 from ctrskit.cops import parse, render_system
 from ctrskit.ctrs import Condition, Ctrs, Rule
+from ctrskit.engine import Bounds
 from ctrskit.terms import Fun, Symbol, Var, ground_terms, render_term
 
 from conftest import CORPUS, corpus_path
@@ -46,6 +48,22 @@ def test_check_json_schema(capsys):
     }
     assert payload["bounds"] == {"max_level": 8, "max_depth": 8, "max_terms": 4096}
     assert payload["truncated"] is False
+
+
+def test_every_subcommand_defaults_to_the_default_bounds():
+    # the shared flags read their defaults off Bounds, so none can drift
+    required = {
+        "check": [],
+        "props": [],
+        "overlaps": [],
+        "rewrite": ["--term", "0", "--level", "1", "--steps", "1"],
+        "epar": ["--term", "0", "--level", "1"],
+        "diamond": ["--m", "1", "--n", "1", "--seed-size", "1"],
+    }
+    assert set(required) == set(cli._COMMANDS)
+    for command, extra in required.items():
+        args = cli.build_parser().parse_args([command, FIB, *extra])
+        assert cli._bounds(args) == Bounds(), command
 
 
 def test_check_not_applicable_text(capsys):

@@ -484,3 +484,96 @@ def test_properly_oriented_agrees_with_the_definition():
     # rule but is exempt, both of which a checker that confused the two
     # cases would get wrong
     assert seen["fails"] >= 25 and seen["exempt"] >= 25, seen
+
+
+def oracle_occurrences(t):
+    # every variable occurrence of t, left to right
+    return [t] if isinstance(t, Var) else [v for u in t.args for v in oracle_occurrences(u)]
+
+
+def oracle_subterms(t):
+    return [t] if isinstance(t, Var) else [t, *(s for u in t.args for s in oracle_subterms(u))]
+
+
+def oracle_is_instance(t, pattern, binding):
+    if isinstance(pattern, Var):
+        return binding.setdefault(pattern, t) == t
+    return (
+        isinstance(t, Fun)
+        and t.symbol == pattern.symbol
+        and all(oracle_is_instance(u, p, binding) for u, p in zip(t.args, pattern.args))
+    )
+
+
+def oracle_right_stable(system):
+    # Suzuki, Middeldorp and Ida (RTA 1995): each condition si == ti of a rule
+    # l -> r <= s1 == t1, ..., sn == tn has Var(l, s1, ..., si, t1, ...,
+    # t(i-1)) disjoint from Var(ti), and ti is a linear constructor term or a
+    # ground normal form of the condition-erased system.  Returns the breaches
+    # as (rule, condition, kind), and the conditions whose rhs is accepted
+    # only as a ground normal form
+    lhss = [rule.lhs for rule in system.rules]
+    defined = {lhs.symbol for lhs in lhss}
+    breaches, normal_forms = [], []
+    for idx, rule in enumerate(system.rules):
+        for i, cond in enumerate(rule.conds):
+            before = [rule.lhs, cond.lhs] + [s for c in rule.conds[:i] for s in (c.lhs, c.rhs)]
+            if any(oracle_term_vars(cond.rhs) & oracle_term_vars(t) for t in before):
+                breaches.append((idx, i, "shares"))
+            occurrences = oracle_occurrences(cond.rhs)
+            constructor = len(set(occurrences)) == len(occurrences) and all(
+                isinstance(u, Var) or u.symbol not in defined for u in oracle_subterms(cond.rhs)
+            )
+            normal_form = not occurrences and not any(
+                oracle_is_instance(u, lhs, {}) for u in oracle_subterms(cond.rhs) for lhs in lhss
+            )
+            if not (constructor or normal_form):
+                breaches.append((idx, i, "shape"))
+            elif not constructor:
+                normal_forms.append((idx, i))
+    return breaches, normal_forms
+
+
+def oracle_left_linear(system):
+    # no variable occurs twice in a left-hand side
+    return [
+        idx
+        for idx, rule in enumerate(system.rules)
+        if len(set(oracle_occurrences(rule.lhs))) < len(oracle_occurrences(rule.lhs))
+    ]
+
+
+RIGHT_STABLE_WITNESS = re.compile(r"condition (\d+) right-hand side .* (shares|is neither) ")
+
+
+def test_right_stable_and_left_linear_agree_with_the_definitions():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(class_rules, min_size=1, max_size=3))
+    def check(rule_list):
+        sys_ = system(*rule_list)
+        report = check_right_stable(sys_)
+        breaches, normal_forms = oracle_right_stable(sys_)
+        got = []
+        for w in report.witnesses:
+            cond, kind = RIGHT_STABLE_WITNESS.match(w.detail).groups()
+            got.append((w.rule_index, int(cond) - 1, "shares" if kind == "shares" else "shape"))
+        assert report.holds == (not breaches) and got == breaches, rule_list
+        report = check_left_linear(sys_)
+        nonlinear = oracle_left_linear(sys_)
+        assert report.holds == (not nonlinear), rule_list
+        assert [w.rule_index for w in report.witnesses] == nonlinear, rule_list
+        seen.update({kind for _, _, kind in breaches})
+        seen["normal-form"] += bool(normal_forms)
+        seen["non-left-linear"] += bool(nonlinear)
+        seen["right-stable"] += not breaches
+
+    check()
+    # systems with a condition rhs that shares a variable, one of the wrong
+    # shape, one accepted only as a ground normal form, a non-left-linear
+    # lhs, and right-stable systems: 127, 163, 40, 91 and 106 when written
+    floors = {
+        "shares": 50, "shape": 50, "normal-form": 15, "non-left-linear": 30, "right-stable": 50
+    }
+    assert all(seen[kind] >= n for kind, n in floors.items()), seen
