@@ -1,9 +1,9 @@
 """Overlap analysis and the level-confluence criterion.
 
-An overlap is a unifiable superposition of two renamed-apart rules at a
-function position of the first rule's left-hand side; a rule overlapping a
-fresh variant of itself at the root is enumerated too, since the criterion
-has to dispatch that case explicitly rather than silently drop it.
+An overlap is a unifiable superposition of a rule and a variable-disjoint
+variant of a rule at a function position of the first one's left-hand side;
+a rule overlapping its own variant at the root is enumerated too, since the
+criterion has to dispatch that case explicitly rather than silently drop it.
 
 The verdict combines four prerequisites: the system is a 3-CTRS, properly
 oriented, right-stable, and almost orthogonal modulo infeasibility.  When
@@ -46,12 +46,12 @@ from .terms import (
     positioned_subterms,
     render_vars,
 )
-from .unify import is_variant, mgu, rename_rule, renaming
+from .unify import RenamingScope, is_variant, mgu, rename_rule, renaming
 
 
 @dataclass(frozen=True)
 class Overlap:
-    """Two renamed-apart rules whose left-hand sides unify at `pos`."""
+    """A rule as written and a renamed variant of a rule, their lhss unifying at `pos`."""
 
     rule1: Rule
     rule2: Rule
@@ -126,23 +126,22 @@ class Verdict:
 
 
 def conditional_overlaps(system: Ctrs) -> list[Overlap]:
-    """All overlaps between ordered pairs of renamed-apart rules.
+    """All overlaps between a rule as written and a variant of a rule.
 
-    Each rule is renamed twice, once per role: as a first rule from index 0
-    and as a second rule from k, the most variables any one rule has.  So
-    the two sides of every pair, a rule and its own variant included, are
-    variable-disjoint, and enumeration is deterministic: rule-index pairs in
-    order, then function positions of the first lhs in left-outer order.
+    Only the second role is renamed, each rule once, `RenamingScope.above`
+    the system's variables.  An index is None (parsed), natural (renamed) or
+    negative (an IF1 skeleton hole), so no second rule meets a first, its own
+    original included, and no hole meets either.  Enumeration is ordered by
+    rule-index pair, then by function position of the first lhs, left-outer.
     A second rule is tried only at the positions carrying its lhs root
     symbol: no lhs is a variable, so at any other position `mgu` fails.
     """
     rules = system.rules
     variables = [rule_variables(rule) for rule in rules]
-    k = max(map(len, variables), default=0)
-    firsts = [rename_rule(r, renaming(vs, 0)) for r, vs in zip(rules, variables)]
+    k = RenamingScope.above(itertools.chain.from_iterable(variables)).next_index
     seconds = [rename_rule(r, renaming(vs, k)) for r, vs in zip(rules, variables)]
     out: list[Overlap] = []
-    for i, r1 in enumerate(firsts):
+    for i, r1 in enumerate(rules):
         at: dict[Symbol, list[tuple[Position, Fun]]] = {}
         for pos, sub in positioned_subterms(r1.lhs):
             if isinstance(sub, Fun):

@@ -67,13 +67,12 @@ class _Token(NamedTuple):
 
 class _Parser:
     def __init__(self, text: str, symbols: dict[str, Symbol] | None = None,
-                 var_names: set[str] | None = None):
+                 var_names: tuple[str, ...] = ()):
         self.text = text
         self.pos = 0
         self.tok = self._scan()
         self.symbols: dict[str, Symbol] = dict(symbols or {})
-        self.var_names: set[str] = set(var_names or ())
-        self.var_order: list[str] = sorted(self.var_names)
+        self.var_names: dict[str, None] = dict.fromkeys(var_names)
         # a given signature is closed: terms may not extend it
         self.closed = symbols is not None
         self.rules: list[Rule] = []
@@ -206,9 +205,7 @@ class _Parser:
                     name = self._advance().value
                     if name in _KEYWORDS:
                         raise ParseError(f"{name!r} is reserved", *self._at(key.start))
-                    if name not in self.var_names:
-                        self.var_names.add(name)
-                        self.var_order.append(name)
+                    self.var_names[name] = None
                 self._expect(")")
                 continue
             if key.value == "RULES":
@@ -219,7 +216,7 @@ class _Parser:
                 self._expect(")")
                 continue
             raise ParseError(f"unknown block keyword {key.value!r}", *self._at(key.start))
-        return SourceSpec(Ctrs.from_rules(self.rules), tuple(self.var_order))
+        return SourceSpec(Ctrs.from_rules(self.rules), tuple(self.var_names))
 
 
 def parse(text: str) -> SourceSpec:
@@ -234,7 +231,7 @@ def parse_term(text: str, spec: SourceSpec) -> Term:
     extend the signature.
     """
     table = {s.name: s for s in spec.ctrs.symbols}
-    p = _Parser(text, symbols=table, var_names=set(spec.var_names))
+    p = _Parser(text, symbols=table, var_names=spec.var_names)
     t = p.parse_term()
     if p.tok.kind != "eof":
         raise ParseError(

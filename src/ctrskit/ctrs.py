@@ -154,7 +154,7 @@ class Ctrs:
 class Witness:
     """Evidence for a failed property: the offending rule plus an explanation."""
 
-    rule_index: int | None
+    rule_index: int
     detail: str
 
 

@@ -266,9 +266,8 @@ class Rewriter:
             if rigid and not rigid.isdisjoint(extra_vars(rule)):
                 # the match binds every lhs variable, but a rule variable
                 # outside the lhs named like a subject variable is not that
-                # variable: rename the rule above every index of the subject
-                top = max((v.index for v in rigid if v.index is not None), default=-1)
-                rule, _ = rename_apart(rule, RenamingScope(top + 1))
+                # variable: the rule must avoid the subject's variables
+                rule, _ = rename_apart(rule, RenamingScope.above(rigid))
                 sigma = match(rule.lhs, t)
             sols, flag = self.solve_conditions(rule.conds, sigma, n - 1, rigid)
             truncated |= flag

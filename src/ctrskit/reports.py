@@ -21,10 +21,7 @@ def bounds_json(bounds: Bounds) -> dict:
 
 
 def witness_json(w: Witness) -> dict:
-    return {
-        "rule": None if w.rule_index is None else w.rule_index + 1,
-        "detail": w.detail,
-    }
+    return {"rule": w.rule_index + 1, "detail": w.detail}
 
 
 def property_json(report: PropertyReport) -> dict:
@@ -59,8 +56,7 @@ def verdict_json(verdict: Verdict, bounds: Bounds) -> dict:
 def _property_lines(report: PropertyReport) -> list[str]:
     lines = [f"property {report.name}: {'holds' if report.holds else 'FAILS'}"]
     for w in report.witnesses:
-        where = "" if w.rule_index is None else f"rule {w.rule_index + 1}: "
-        lines.append(f"  {where}{w.detail}")
+        lines.append(f"  rule {w.rule_index + 1}: {w.detail}")
     return lines
 
 

@@ -3,11 +3,11 @@
 Unification keeps its bindings in triangular form, which may hold bound
 variables, and resolves them once, at the end; neither loop recurses.
 
-Renaming is index bumping: a scope hands out strictly increasing indices, so
-rules renamed under successive scope states are variable-disjoint by
-construction and the whole pipeline stays reproducible.  Renaming from index
-k maps the i-th of a rule's `ctrs.rule_variables` to index k + i, so a caller
-that keeps that list can rename the rule from any k.
+Renaming apart follows one rule: a copy that must avoid some variables is
+renamed from `RenamingScope.above` them, and everything else is used as
+written.  Renaming from index k maps the i-th of a rule's
+`ctrs.rule_variables` to index k + i, so a caller that keeps that list can
+rename the rule from any k, and the whole pipeline stays reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ class RenamingScope:
     def __post_init__(self) -> None:
         if self.next_index < 0:
             raise ValueError("renaming indices are natural numbers")
+
+    @classmethod
+    def above(cls, variables: Iterable[Var]) -> RenamingScope:
+        """The scope from the first natural index above every one `variables` carry."""
+        return cls(max([0, *(v.index + 1 for v in variables if v.index is not None)]))
 
 
 def _occurs(v: Var, t: Term, bound: dict[Var, Term]) -> bool:

@@ -72,8 +72,9 @@ def test_traced_check_mix_renames_each_rule_once_and_composes_nothing(tmp_path):
     # 27872 when mgu rewrote every popped pair by its substitution so far,
     # and every pair tried renamed its second rule whole;
     # 15988 when each new Overlap re-applied its unifier to both sides;
-    # 12420 when second lhss were renamed per first rule's scope start
-    assert trace["terms.apply_subst.calls"] <= 8656
+    # 12420 when second lhss were renamed per first rule's scope start;
+    # 8656 when each rule was renamed once per role
+    assert trace["terms.apply_subst.calls"] <= 5518
     # 10877 when the class checks each took the variables of a rule's terms
     # on their own; 10099 since they read `rule_type`;
     # 9907 since properly-oriented asks only whether the rhs adds a variable
