@@ -30,6 +30,7 @@ from .ctrs import (
     check_left_linear,
     check_properly_oriented,
     check_right_stable,
+    check_type3,
     classify_type,
     is_ground_normal_form_ru,
     underlying_trs,

@@ -28,9 +28,9 @@ from .ctrs import (
     check_left_linear,
     check_properly_oriented,
     check_right_stable,
+    check_type3,
     classify_type,
     is_ground_normal_form_ru,
-    loose_rhs_vars,
     rule_variables,
 )
 from .engine import Bounds, EparSet, epar_successors
@@ -44,7 +44,6 @@ from .terms import (
     apply_subst,
     fold,
     positioned_subterms,
-    render_vars,
 )
 from .unify import RenamingScope, is_variant, mgu, rename_rule, renaming
 
@@ -74,24 +73,29 @@ IF2 = "IF2"
 
 @dataclass(frozen=True)
 class Feasibility:
-    """Outcome of the infeasibility semi-decision; never certifies feasibility."""
+    """Outcome of the infeasibility semi-decision; never certifies feasibility.
 
-    infeasible: bool
+    `reason` names the test that refuted `conditions`; None means unknown.
+    """
+
     reason: Optional[str] = None
     conditions: tuple[Condition, ...] = ()
-    note: str = ""
+
+    @property
+    def infeasible(self) -> bool:
+        return self.reason is not None
 
     @classmethod
     def unknown(cls) -> "Feasibility":
-        return cls(False)
+        return cls()
 
     @classmethod
-    def by_if1(cls, cond: Condition, note: str) -> "Feasibility":
-        return cls(True, IF1, (cond,), note)
+    def by_if1(cls, cond: Condition) -> "Feasibility":
+        return cls(IF1, (cond,))
 
     @classmethod
-    def by_if2(cls, c1: Condition, c2: Condition, note: str) -> "Feasibility":
-        return cls(True, IF2, (c1, c2), note)
+    def by_if2(cls, c1: Condition, c2: Condition) -> "Feasibility":
+        return cls(IF2, (c1, c2))
 
 
 DISP_ROOT_VARIANT = "root-variant"
@@ -112,10 +116,9 @@ class OverlapDisposition:
 class Verdict:
     """Either the criterion applies (level-confluent) or it does not.
 
-    `level_confluent=False` means "not applicable", never "not confluent".
+    `level_confluent` false means "not applicable", never "not confluent".
     """
 
-    level_confluent: bool
     ctrs_type: int
     properties: tuple[PropertyReport, ...]
     overlaps: tuple[OverlapDisposition, ...]
@@ -123,6 +126,10 @@ class Verdict:
     @property
     def failing(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.properties if not p.holds)
+
+    @property
+    def level_confluent(self) -> bool:
+        return not self.failing
 
 
 def conditional_overlaps(system: Ctrs) -> list[Overlap]:
@@ -190,10 +197,7 @@ def infeasible(overlap: Overlap, system: Ctrs) -> Feasibility:
     for cond in conds:
         cap = _skeleton(cond.lhs, system, holes)
         if mgu(cap, cond.rhs) is None:
-            return Feasibility.by_if1(
-                cond,
-                f"no reduct of {cond.lhs} can have the shape of {cond.rhs}",
-            )
+            return Feasibility.by_if1(cond)
     for i in range(len(conds)):
         for j in range(i + 1, len(conds)):
             a, b = conds[i], conds[j]
@@ -202,12 +206,7 @@ def infeasible(overlap: Overlap, system: Ctrs) -> Feasibility:
             if is_ground_normal_form_ru(a.rhs, system) and is_ground_normal_form_ru(
                 b.rhs, system
             ):
-                return Feasibility.by_if2(
-                    a,
-                    b,
-                    f"{a.lhs} would have to reach both normal forms "
-                    f"{a.rhs} and {b.rhs}",
-                )
+                return Feasibility.by_if2(a, b)
     return Feasibility.unknown()
 
 
@@ -245,7 +244,7 @@ def _almost_orthogonal_report(
                 f"infeasible nor a harmless root overlap",
             )
         )
-    return PropertyReport("almost-orthogonal", not witnesses, tuple(witnesses))
+    return PropertyReport("almost-orthogonal", witnesses)
 
 
 def check_almost_orthogonal(system: Ctrs) -> PropertyReport:
@@ -258,22 +257,6 @@ def check_almost_orthogonal(system: Ctrs) -> PropertyReport:
     return _almost_orthogonal_report(check_left_linear(system), dispose_overlaps(system))
 
 
-def _type3_report(system: Ctrs) -> PropertyReport:
-    witnesses = []
-    for idx, rule in enumerate(system.rules):
-        loose = loose_rhs_vars(rule)
-        if loose:
-            names = render_vars(loose)
-            witnesses.append(
-                Witness(
-                    idx,
-                    f"right-hand side variable(s) {names} bound by neither the "
-                    f"lhs nor any condition",
-                )
-            )
-    return PropertyReport("type-3", not witnesses, tuple(witnesses))
-
-
 def check_level_confluence(system: Ctrs) -> Verdict:
     """Apply the level-confluence criterion and collect the evidence trail.
 
@@ -283,18 +266,13 @@ def check_level_confluence(system: Ctrs) -> Verdict:
     dispositions = dispose_overlaps(system)
     left_linear = check_left_linear(system)
     properties = (
-        _type3_report(system),
+        check_type3(system),
         left_linear,
         check_properly_oriented(system),
         check_right_stable(system),
         _almost_orthogonal_report(left_linear, dispositions),
     )
-    return Verdict(
-        level_confluent=all(p.holds for p in properties),
-        ctrs_type=classify_type(system),
-        properties=properties,
-        overlaps=tuple(dispositions),
-    )
+    return Verdict(classify_type(system), properties, tuple(dispositions))
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """A property's evidence: it holds exactly when no rule witnesses a failure."""
+
     name: str
-    holds: bool
     witnesses: tuple[Witness, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
-        if not self.holds and not self.witnesses:
-            raise ValueError(f"failing property {self.name!r} must carry a witness")
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 def loose_rhs_vars(rule: Rule) -> frozenset[Var]:
@@ -191,6 +194,20 @@ def rule_type(rule: Rule) -> int:
 def classify_type(system: Ctrs) -> int:
     """Smallest class in 1..4 that holds every rule: the largest `rule_type`."""
     return max(map(rule_type, system.rules), default=1)
+
+
+def check_type3(system: Ctrs) -> PropertyReport:
+    """A 3-CTRS: no rule has an rhs variable that `loose_rhs_vars` names."""
+    witnesses = [
+        Witness(
+            idx,
+            f"right-hand side variable(s) {render_vars(loose)} bound by neither "
+            f"the lhs nor any condition",
+        )
+        for idx, loose in enumerate(map(loose_rhs_vars, system.rules))
+        if loose
+    ]
+    return PropertyReport("type-3", witnesses)
 
 
 def underlying_trs(system: Ctrs) -> list[tuple[Term, Term]]:
@@ -219,7 +236,7 @@ def check_left_linear(system: Ctrs) -> PropertyReport:
             witnesses.append(
                 Witness(idx, f"variable(s) {names} repeated in left-hand side {rule.lhs}")
             )
-    return PropertyReport("left-linear", not witnesses, tuple(witnesses))
+    return PropertyReport("left-linear", witnesses)
 
 
 def loose_conditions(rule: Rule) -> Iterator[tuple[int, Condition, frozenset[Var]]]:
@@ -258,7 +275,7 @@ def check_properly_oriented(system: Ctrs) -> PropertyReport:
                     f"earlier condition rhss",
                 )
             )
-    return PropertyReport("properly-oriented", not witnesses, tuple(witnesses))
+    return PropertyReport("properly-oriented", witnesses)
 
 
 def check_right_stable(system: Ctrs) -> PropertyReport:
@@ -297,4 +314,4 @@ def check_right_stable(system: Ctrs) -> PropertyReport:
                     )
                 )
             seen |= vars_of(cond.rhs)
-    return PropertyReport("right-stable", not witnesses, tuple(witnesses))
+    return PropertyReport("right-stable", witnesses)

@@ -7,6 +7,7 @@ down; Python-level indices stay 0-based.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable
 
 from .analysis import OverlapDisposition, Verdict
 from .ctrs import PropertyReport, Witness
@@ -31,6 +32,10 @@ def property_json(report: PropertyReport) -> dict:
     }
 
 
+def _property_map(reports: Iterable[PropertyReport]) -> dict:
+    return {p.name: property_json(p) for p in reports}
+
+
 def overlap_json(od: OverlapDisposition) -> dict:
     o = od.overlap
     return {
@@ -45,7 +50,7 @@ def verdict_json(verdict: Verdict, bounds: Bounds) -> dict:
         "verdict": VERDICT_LEVEL_CONFLUENT
         if verdict.level_confluent
         else VERDICT_NOT_APPLICABLE,
-        "properties": {p.name: property_json(p) for p in verdict.properties},
+        "properties": _property_map(verdict.properties),
         "overlaps": [overlap_json(od) for od in verdict.overlaps],
         "bounds": bounds_json(bounds),
         # the verdict needs no search, so no bound can cut it short
@@ -73,9 +78,7 @@ def verdict_text(verdict: Verdict) -> str:
         lines = ["YES (level-confluent)"]
     else:
         lines = [f"MAYBE (criterion not applicable: {', '.join(verdict.failing)})"]
-    lines.append(f"system class: {verdict.ctrs_type}-CTRS")
-    for p in verdict.properties:
-        lines.extend(_property_lines(p))
+    lines.append(properties_text(verdict.ctrs_type, verdict.properties))
     if verdict.overlaps:
         lines.append(f"overlaps: {len(verdict.overlaps)}")
         lines.extend(_overlap_line(od) for od in verdict.overlaps)
@@ -84,18 +87,15 @@ def verdict_text(verdict: Verdict) -> str:
     return "\n".join(lines)
 
 
-def properties_text(ctrs_type: int, reports: list[PropertyReport]) -> str:
+def properties_text(ctrs_type: int, reports: Iterable[PropertyReport]) -> str:
     lines = [f"system class: {ctrs_type}-CTRS"]
     for p in reports:
         lines.extend(_property_lines(p))
     return "\n".join(lines)
 
 
-def properties_json(ctrs_type: int, reports: list[PropertyReport]) -> dict:
-    return {
-        "type": ctrs_type,
-        "properties": {p.name: property_json(p) for p in reports},
-    }
+def properties_json(ctrs_type: int, reports: Iterable[PropertyReport]) -> dict:
+    return {"type": ctrs_type, "properties": _property_map(reports)}
 
 
 def overlaps_text(dispositions: list[OverlapDisposition]) -> str:
