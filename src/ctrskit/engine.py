@@ -12,7 +12,8 @@ All searches are bounded (sequence length and visited-set size), so answers
 are sound but complete only up to the bounds; whenever a cap cuts a search
 short the result says so via its `truncated` flag.  The engine enumerates no
 instance of a variable: a condition whose instantiated lhs is not ground is
-left unsolved, and that cut sets `truncated` too.
+left unsolved, and that cut sets `truncated` too.  An untruncated answer is
+exact: any larger max_depth and max_terms give the same answer.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ class Rewriter:
     Every relation at level n is built from level n-1, so each result is
     memoised by (term, level) in tables that live as long as the Rewriter.
     Methods whose result type has no `truncated` flag return a pair
-    (result, truncated) instead.
+    (result, truncated) instead.  The module functions' registry may link a
+    Rewriter with others of its system under bounds no larger, and on a miss
+    it takes their untruncated answers, which are exact, as its own.
     """
 
     def __init__(self, system: Ctrs, bounds: Bounds) -> None:
@@ -213,6 +216,16 @@ class Rewriter:
         self._steps: dict[tuple[Term, int], tuple[frozenset[Term], bool]] = {}
         self._reach: dict[tuple[Term, int], ReachSet] = {}
         self._epar: dict[tuple[Term, int], EparSet] = {}
+        self._lenders: list[Rewriter] = []
+
+    def _borrow(self, table: str, key: tuple[Term, int]):
+        """A lender's untruncated entry for key in table, stored as ours, or None."""
+        for lender in self._lenders:
+            found = getattr(lender, table).get(key)
+            if found is not None and not (found[1] if type(found) is tuple else found.truncated):
+                getattr(self, table)[key] = found
+                return found
+        return None
 
     def solve_conditions(
         self, conds: tuple[Condition, ...], sigma: Subst, n: int, frozen: frozenset
@@ -252,6 +265,8 @@ class Rewriter:
             return _NO_STEPS
         key = (t, n)
         found = self._roots.get(key)
+        if found is None and self._lenders:
+            found = self._borrow("_roots", key)
         if found is not None:
             return found
         out: set[Term] = set()
@@ -283,6 +298,8 @@ class Rewriter:
             return _NO_STEPS
         key = (t, n)
         found = self._steps.get(key)
+        if found is None and self._lenders:
+            found = self._borrow("_steps", key)
         if found is not None:
             return found
         roots, truncated = self.root_steps(t, n)
@@ -311,6 +328,8 @@ class Rewriter:
             return ReachSet(frozenset({t}), False)
         key = (t, n)
         found = self._reach.get(key)
+        if found is None and self._lenders:
+            found = self._borrow("_reach", key)
         if found is not None:
             return found
         max_depth, max_terms = self.bounds.max_depth, self.bounds.max_terms
@@ -348,6 +367,8 @@ class Rewriter:
             return EparSet(t, {t: None}, (), False)
         key = (t, n)
         cached = self._epar.get(key)
+        if cached is None and self._lenders:
+            cached = self._borrow("_epar", key)
         if cached is not None:
             return cached
 
@@ -383,7 +404,29 @@ class Rewriter:
 
 # The module functions share one Rewriter per (system, bounds); its
 # cache_info counts public calls that found their Rewriter already built.
-_rewriter = lru_cache(maxsize=None)(Rewriter)
+# Each Rewriter it builds borrows from the registry's Rewriters of its system
+# whose max_depth and max_terms are both no larger, and lends to those whose
+# are both no smaller, whichever was built first.
+_built: dict[Ctrs, list[Rewriter]] = {}
+
+
+def _within(small: Bounds, big: Bounds) -> bool:
+    return small.max_depth <= big.max_depth and small.max_terms <= big.max_terms
+
+
+def _linked_rewriter(system: Ctrs, bounds: Bounds) -> Rewriter:
+    new = Rewriter(system, bounds)
+    peers = _built.setdefault(system, [])
+    for old in peers:
+        if _within(old.bounds, bounds):
+            new._lenders.append(old)
+        if _within(bounds, old.bounds):
+            old._lenders.append(new)
+    peers.append(new)
+    return new
+
+
+_rewriter = lru_cache(maxsize=None)(_linked_rewriter)
 
 
 def solve_conditions(
@@ -470,5 +513,7 @@ def verify_epar_step(step: EparStep, n: int, system: Ctrs, bounds: Bounds) -> bo
 
 
 def clear_caches() -> None:
-    """Drop the Rewriters, and so the memo tables, behind the module functions."""
+    """Drop the Rewriters behind the module functions, and so their memo
+    tables and the links between them."""
     _rewriter.cache_clear()
+    _built.clear()

@@ -99,3 +99,12 @@ def test_traced_diamond_builds_no_witness(tmp_path):
     # 4873 when every successor set was sorted as it was built, 6248 when a
     # set of one term was sorted too
     assert trace["terms.term_key.calls"] < 3500
+
+
+def test_traced_relation_chain_takes_untruncated_answers_across_bounds(tmp_path):
+    trace = run_worker("relation-chain", 1, tmp_path)["trace"]
+    # 8683 when the reach bounds' Rewriter re-derived every root step, step
+    # set and condition search that the one-step bounds' Rewriter had found
+    assert trace["terms.match.calls"] <= 5447
+    # the registry still builds one Rewriter per (system, bounds)
+    assert (trace["engine.memo_hits"], trace["engine.memo_misses"]) == (8750, 2)

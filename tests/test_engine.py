@@ -408,6 +408,36 @@ def test_rewriters_keep_their_own_memo(fib, fb):
     assert fresh is not shared and fresh == shared
 
 
+# the acceptance suite's criterion-2 bounds: one-step and parallel, reach
+CHAIN, SATURATE = Bounds(8, 8, 100000), Bounds(8, 128, 200000)
+
+
+def test_registry_rewriters_share_untruncated_answers_up_the_bounds(fib, fb):
+    from ctrskit.engine import clear_caches
+
+    t = fb.fib(fb.num(2))
+    for first in (CHAIN, SATURATE):
+        # whichever of the two the registry builds first, the larger bounds
+        # take the smaller's untruncated answer as their own
+        clear_caches()
+        cstep_star(fb.zero, 1, fib, first)
+        chain = cstep_star(t, 3, fib, CHAIN)
+        assert not chain.truncated
+        assert cstep_star(t, 3, fib, SATURATE) is chain
+    # t steps at level 3, but no step fits in depth 0, so that search is cut
+    # and the larger bounds search on their own
+    clear_caches()
+    shallow = cstep_star(t, 3, fib, Bounds(8, 0, 100000))
+    assert shallow.truncated
+    full = cstep_star(t, 3, fib, SATURATE)
+    assert not full.truncated and shallow.terms < full.terms
+    # the links go with the Rewriters that clear_caches drops
+    clear_caches()
+    again = cstep_star(t, 3, fib, SATURATE)
+    assert again is not chain and again == chain
+    clear_caches()
+
+
 def test_unsolvable_rule_is_checked_only_when_it_matches():
     # rule 1 cannot be solved left to right, but only g-rooted terms reach
     # it, and only those searches are cut
@@ -945,3 +975,72 @@ def test_untruncated_searches_are_complete_and_results_grow_on_nested_conditions
     # the floors keep the test from passing vacuously: the first is the
     # number of untruncated searches that solved a condition after a step
     assert tally["nested"] >= 300 and tally["grown"] >= 60000, tally
+
+
+# the pairs of bounds of the grid above, whose bounds compare, and one pair
+# whose bounds do not
+INCOMPARABLE = (Bounds(8, 0, 48), Bounds(8, 2, 4))
+NEST_GRID = tuple(Bounds(8, d, c) for d, c in itertools.product((0, 1, 2), (4, 48)))
+LINKED_PAIRS = tuple(
+    (small, bigger)
+    for small in NEST_GRID
+    for bigger in (Bounds(8, small.max_depth, 480), Bounds(8, small.max_depth + 2, small.max_terms),
+                   Bounds(8, small.max_depth + 2, 480))
+) + (INCOMPARABLE,)
+MEMO_TABLES = ("_roots", "_steps", "_reach", "_epar")
+
+
+def _shared(rewriter, others):
+    """How many of rewriter's memo entries are the very objects of another's."""
+    return sum(
+        entry is getattr(other, table).get(key)
+        for table in MEMO_TABLES
+        for key, entry in getattr(rewriter, table).items()
+        for other in others
+    )
+
+
+def test_registry_rewriters_borrow_only_exact_answers_on_nested_conditions():
+    # the registry links the Rewriters of one system whose bounds compare,
+    # whichever it builds first.  A linked Rewriter answers as a fresh one
+    # under its bounds does: the same terms, flag, order and witnesses (an
+    # EparSet's pairs hold its order and witnesses), also when the larger
+    # bounds are asked first.  Rewriters whose bounds do not compare share
+    # no entry, nor does a Rewriter a caller builds
+    from ctrskit import engine
+
+    borrowed = {"built smaller first": 0, "built larger first": 0, "asked larger first": 0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(nested_systems())
+    def check(drawn):
+        system, length = drawn
+        fresh: dict[Bounds, Rewriter] = {}
+        for pair in LINKED_PAIRS:
+            runs = {"built smaller first": (pair, pair), "built larger first": (pair[::-1], pair),
+                    "asked larger first": (pair, pair[::-1])}
+            for run, (built, asked) in runs.items():
+                engine.clear_caches()
+                linked = {bounds: engine._rewriter(system, bounds) for bounds in built}
+                for bounds in built:
+                    fresh.setdefault(bounds, Rewriter(system, bounds))
+                for subject in NEST_SEEDS:
+                    for level in range(1, length + 2):
+                        for query in ("cstep_star", "root_steps", "epar_successors"):
+                            for bounds in asked:
+                                own = _answer(fresh[bounds], query, subject, level)
+                                got = _answer(linked[bounds], query, subject, level)
+                                assert got == own, (query, str(subject), level, run, bounds)
+                shared = _shared(linked[pair[0]], [linked[pair[1]]])
+                assert shared == 0 or pair != INCOMPARABLE, run
+                borrowed[run] += shared
+                assert _shared(fresh[pair[0]], linked.values()) == 0
+                assert _shared(fresh[pair[1]], linked.values()) == 0
+
+    try:
+        check()
+    finally:
+        engine.clear_caches()
+    # the floors keep the test from passing vacuously: asked smaller first,
+    # the larger bounds take about 51000 entries, whichever was built first
+    assert min(borrowed["built smaller first"], borrowed["built larger first"]) >= 40000, borrowed
