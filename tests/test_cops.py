@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -141,6 +142,9 @@ def test_comments_are_ignored():
         "(COMMENT trailing)"
     )
     assert len(spec.ctrs.rules) == 1
+    # a file of comments only is the empty system, not empty input
+    for text in ("(COMMENT x)", "  (COMMENT (a) b)\n"):
+        assert parse(text) == parse("(RULES)")
 
 
 def test_unterminated_comment_is_an_error():
@@ -267,3 +271,89 @@ def test_fuzz_smoke():
             parse(s)
         except ParseError:
             pass
+
+
+# whole tokens for the characterisation fuzz below; each name has one arity,
+# which a draw breaks now and then, and a VAR block may make any name a variable
+FUZZ_ARITY = {"f": 1, "g": 2, "a": 0, "a-": 0, "0": 0, "x": 0, "y": 0}
+FIB_ARITY = {"fib": 1, "pair": 2, "add": 2, "s": 1, "0": 0, "x": 0, "y": 0}
+FUZZ_TOKENS = ["(", ")", "->", "==", "=", "|", ",", "#",
+               "COMMENT", "RULES", "VAR", "CONDITIONTYPE", "ORIENTED", *FUZZ_ARITY]
+# "" lets two identifiers run together into one
+FUZZ_SPACES = ["", " ", " ", " ", " ", "\n", "\t", "\r\n"]
+
+
+def fuzz_term(rng, arity, depth=0) -> list[str]:
+    name = rng.choice(list(arity))
+    n = arity[name] if rng.random() < 0.95 else rng.randrange(3)
+    if n == 0 or depth > 2:
+        return [name]
+    tokens = [name, "("]
+    for i in range(n):
+        tokens += [","] * (i > 0) + fuzz_term(rng, arity, depth + 1)
+    return tokens + [")"]
+
+
+def fuzz_block(rng) -> list[str]:
+    key = rng.choice(["RULES", "RULES", "RULES", "VAR", "VAR", "COMMENT", "CONDITIONTYPE"])
+    if key == "VAR":
+        body = rng.sample(list(FUZZ_ARITY), rng.randrange(3))
+    elif key == "CONDITIONTYPE":
+        body = [rng.choice(["ORIENTED", "ORIENTED", "JOIN"])]
+    elif key == "COMMENT":
+        body = rng.choices(FUZZ_TOKENS, k=rng.randrange(5))
+    else:
+        body = []
+        for _ in range(rng.randrange(3)):
+            body += fuzz_term(rng, FUZZ_ARITY) + ["->"] + fuzz_term(rng, FUZZ_ARITY)
+            for i in range(rng.choice([0, 0, 1, 2])):
+                body += [",|"[i == 0], *fuzz_term(rng, FUZZ_ARITY), "==",
+                         *fuzz_term(rng, FUZZ_ARITY)]
+    return ["(", key, *body, ")"]
+
+
+def fuzz_text(rng, tokens: list[str]) -> str:
+    """Join tokens with random whitespace after up to two whole-token edits."""
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        i = rng.randrange(len(tokens) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            tokens.insert(i, rng.choice(FUZZ_TOKENS))
+        elif i < len(tokens) and edit == 1:
+            del tokens[i]
+        elif i < len(tokens):
+            tokens[i] = rng.choice(FUZZ_TOKENS)
+    return "".join(rng.choice(FUZZ_SPACES) + t for t in tokens) + rng.choice(FUZZ_SPACES)
+
+
+def fuzz_outcome(call, show) -> tuple:
+    try:
+        return show(call())
+    except ParseError as e:
+        return type(e).__name__, str(e), e.line, e.col
+
+
+def test_parser_outcomes_on_fuzzed_token_streams(fib_spec):
+    # characterisation: one digest over each input's exact outcome, the error
+    # class, message, line and column or the parsed system (or term), so any
+    # change in what the parser accepts or reports changes the digest
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    seen = []
+    for _ in range(20000):
+        blocks = [t for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 3])) for t in fuzz_block(rng)]
+        text = fuzz_text(rng, blocks)
+        seen.append(fuzz_outcome(lambda: parse(text),
+                                 lambda spec: (render_system(spec.ctrs), spec.var_names)))
+    for _ in range(5000):
+        text = fuzz_text(rng, fuzz_term(rng, FIB_ARITY))
+        seen.append(fuzz_outcome(lambda: parse_term(text, fib_spec), lambda t: (render(t),)))
+    for outcome in seen:
+        digest.update(repr(outcome).encode())
+    # the draws reach every error class and many systems with rules
+    assert {o[0] for o in seen if len(o) == 4} == {
+        "ParseError", "ArityConflictError", "UnknownConditionTypeError", "VariableAsLhsError",
+    }
+    assert sum(len(o) == 2 and o[0].count("\n") > 3 for o in seen) >= 1000
+    assert sum(len(o) == 1 for o in seen) >= 1000
+    assert digest.hexdigest() == "cb2aee1ff5e9f612422f97109b5d4fa444a4e4223654b1d8df675337c7419040"
