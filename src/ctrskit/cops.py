@@ -15,13 +15,17 @@ Identifiers are runs of ``[A-Za-z0-9_'+*-]`` that an arrow ends, so
 ``line:column``, and only ``\n`` breaks a line.  Symbol arities are inferred
 from first use and enforced afterwards.  Only oriented condition semantics
 is supported.
+
+The text is scanned once, and a COMMENT block's free text never becomes
+tokens.  Terms are built on a stack, so no parse recurses.  Nesting stays
+capped at 200: overlap enumeration keeps a position per lhs node, as long as
+its depth, so an n-deep left-hand side would cost O(n^2) memory.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .ctrs import Condition, Ctrs, Rule, rule_variables
 from .terms import Fun, Symbol, Term, Var, render_term
@@ -59,163 +63,161 @@ class SourceSpec:
     var_names: tuple[str, ...]
 
 
-class _Token(NamedTuple):
-    kind: str  # "(", ")", "->", "==", ",", "|", "ident", "eof"
-    value: str
-    start: int  # offset into the text
+def _tokens(text: str, blocks: bool) -> list[tuple[str, str, int]]:
+    """Scan text once into (kind, value, start offset) tokens.
+
+    A kind is "(", ")", "->", "==", ",", "|" or "ident", with the token's
+    text for its value; the list ends in an "eof" token, whose value is "eof"
+    too, or in an "error" one, whose value is the message it raises.
+    With `blocks`, a COMMENT block outside all others is dropped, up to its ")".
+    """
+    tokens: list[tuple[str, str, int]] = []
+    pos = depth = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        pos, group = m.end(), m.lastindex
+        if group is None:
+            return tokens + [("eof", "eof", pos)]
+        value, start = m[group], m.start(group)
+        if group == 3:
+            message = "expected '=='" if value == "=" else f"unexpected character {value!r}"
+            return tokens + [("error", message, start)]
+        if group == 1:
+            depth += (value == "(") - (value == ")")
+            tokens.append((value, value, start))
+        elif not (blocks and value == "COMMENT" and depth == 1 and tokens[-1][0] == "("):
+            tokens.append(("ident", value, start))
+        else:  # a comment block: drop its "(" and skip to the ")" closing it
+            nesting = 1
+            for paren in _PAREN.finditer(text, pos):
+                nesting += 1 if paren[0] == "(" else -1
+                if nesting == 0:
+                    break
+            else:
+                return tokens[:-1] + [("error", "unterminated comment block", tokens[-1][2])]
+            tokens.pop()
+            pos, depth = paren.end(), 0
 
 
 class _Parser:
     def __init__(self, text: str, symbols: dict[str, Symbol] | None = None,
                  var_names: tuple[str, ...] = ()):
         self.text = text
-        self.pos = 0
-        self.tok = self._scan()
         self.symbols: dict[str, Symbol] = dict(symbols or {})
         self.var_names: dict[str, None] = dict.fromkeys(var_names)
-        # a given signature is closed: terms may not extend it
+        # a given signature is closed: terms may not extend it, and the text
+        # is one term, so it has no blocks
         self.closed = symbols is not None
         self.rules: list[Rule] = []
+        self._rest = iter(_tokens(text, blocks=not self.closed))
+        self._advance()
 
-    def _at(self, offset: int) -> tuple[int, int]:
-        """Line and column of a text offset, counted only when an error needs them."""
-        return (self.text.count("\n", 0, offset) + 1,
-                offset - self.text.rfind("\n", 0, offset))
+    def _error(self, message: str, offset: int, cls: type[ParseError] = ParseError) -> ParseError:
+        """The error at a text offset, whose line and column are counted only here."""
+        line = self.text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def _scan(self) -> _Token:
-        m = _TOKEN.match(self.text, self.pos)
-        self.pos = m.end()
-        group = m.lastindex
-        if group is None:
-            return _Token("eof", "", self.pos)
-        value = m[group]
-        if group == 1:
-            return _Token(value, value, m.start(1))
-        if group == 2:
-            return _Token("ident", value, m.start(2))
-        message = "expected '=='" if value == "=" else f"unexpected character {value!r}"
-        raise ParseError(message, *self._at(m.start(3)))
+    def _advance(self) -> None:
+        """Step onto the next token, raising the error it may stand for."""
+        self.tok = kind, value, start = next(self._rest)
+        if kind == "error":
+            raise self._error(value, start)
 
-    def _skip_comment(self, open_paren: _Token) -> None:
-        """Skip free text up to the ')' matching an already-open '('."""
-        depth = 1
-        for m in _PAREN.finditer(self.text, self.pos):
-            depth += 1 if m[0] == "(" else -1
-            if depth == 0:
-                self.pos = m.end()
-                return
-        raise ParseError("unterminated comment block", *self._at(open_paren.start))
-
-    def _advance(self) -> _Token:
+    def _expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tok
-        self.tok = self._scan()
+        if tok[0] != kind:
+            raise self._error(f"expected {kind!r}, got {tok[1]!r}", tok[2])
+        self._advance()
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        if self.tok.kind != kind:
-            got = self.tok.value or self.tok.kind
-            raise ParseError(f"expected {kind!r}, got {got!r}", *self._at(self.tok.start))
-        return self._advance()
-
-    def _intern(self, name: str, arity: int, tok: _Token) -> Symbol:
+    def _intern(self, name: str, arity: int, start: int) -> Symbol:
         known = self.symbols.get(name)
         if known is None:
             if self.closed:
-                raise ParseError(f"unknown symbol {name!r}", *self._at(tok.start))
-            sym = Symbol(name, arity)
-            self.symbols[name] = sym
-            return sym
-        if known.arity != arity:
-            raise ArityConflictError(
-                f"symbol {name!r} used with arity {arity}, previously {known.arity}",
-                *self._at(tok.start),
-            )
+                raise self._error(f"unknown symbol {name!r}", start)
+            known = self.symbols[name] = Symbol(name, arity)
+        elif known.arity != arity:
+            raise self._error(f"symbol {name!r} used with arity {arity}, previously {known.arity}",
+                              start, ArityConflictError)
         return known
 
-    def parse_term(self, depth: int = 0) -> Term:
-        if depth > _MAX_TERM_DEPTH:
-            raise ParseError("term nesting too deep", *self._at(self.tok.start))
-        tok = self._expect("ident")
-        name = tok.value
-        if name in _KEYWORDS:
-            raise ParseError(f"{name!r} is reserved", *self._at(tok.start))
-        if name in self.var_names:
-            if self.tok.kind == "(":
-                raise ParseError(
-                    f"variable {name!r} cannot take arguments", *self._at(tok.start)
-                )
-            return Var(name)
-        if self.tok.kind != "(":
-            return Fun(self._intern(name, 0, tok))
-        self._advance()
-        args = [self.parse_term(depth + 1)]
-        while self.tok.kind == ",":
-            self._advance()
-            args.append(self.parse_term(depth + 1))
-        self._expect(")")
-        return Fun(self._intern(name, len(args), tok), tuple(args))
+    def parse_term(self) -> Term:
+        # each open application holds its symbol's name, its offset and the
+        # arguments read so far; the stack height is the nesting depth
+        stack: list[tuple[str, int, list[Term]]] = []
+        while True:
+            if len(stack) > _MAX_TERM_DEPTH:
+                raise self._error("term nesting too deep", self.tok[2])
+            _, name, start = self._expect("ident")
+            if name in _KEYWORDS:
+                raise self._error(f"{name!r} is reserved", start)
+            if name in self.var_names:
+                if self.tok[0] == "(":
+                    raise self._error(f"variable {name!r} cannot take arguments", start)
+                term: Term = Var(name)
+            elif self.tok[0] != "(":
+                term = Fun(self._intern(name, 0, start))
+            else:
+                self._advance()
+                stack.append((name, start, []))
+                continue
+            # the term is an argument of the innermost open application, if
+            # any; after the last one, that application closes in turn
+            while stack:
+                stack[-1][2].append(term)
+                if self.tok[0] == ",":
+                    self._advance()
+                    break
+                self._expect(")")
+                name, start, args = stack.pop()
+                term = Fun(self._intern(name, len(args), start), tuple(args))
+            else:
+                return term
 
     def _parse_rule(self) -> Rule:
-        start = self.tok
+        start = self.tok[2]
         lhs = self.parse_term()
         if isinstance(lhs, Var):
-            raise VariableAsLhsError(
-                f"rule left-hand side is the variable {lhs}", *self._at(start.start)
-            )
+            raise self._error(f"rule left-hand side is the variable {lhs}", start,
+                              VariableAsLhsError)
         self._expect("->")
         rhs = self.parse_term()
         conds: list[Condition] = []
-        if self.tok.kind == "|":
+        # "|" opens the conditions and "," separates them
+        while self.tok[0] == ("," if conds else "|"):
             self._advance()
-            conds.append(self._parse_cond())
-            while self.tok.kind == ",":
-                self._advance()
-                conds.append(self._parse_cond())
+            cond_lhs = self.parse_term()
+            self._expect("==")
+            conds.append(Condition(cond_lhs, self.parse_term()))
         return Rule(lhs, rhs, tuple(conds))
 
-    def _parse_cond(self) -> Condition:
-        lhs = self.parse_term()
-        self._expect("==")
-        rhs = self.parse_term()
-        return Condition(lhs, rhs)
-
     def parse_file(self) -> SourceSpec:
-        if self.tok.kind == "eof":
-            raise ParseError("empty input, expected '('", *self._at(self.tok.start))
-        while self.tok.kind != "eof":
-            open_paren = self._expect("(")
-            # comments hold free text the scanner must not touch, so peek at
-            # the keyword before scanning any token from the body
-            if self.tok.kind == "ident" and self.tok.value == "COMMENT":
-                self._skip_comment(open_paren)
-                self.tok = self._scan()
-                continue
-            key = self._expect("ident")
-            if key.value == "CONDITIONTYPE":
-                val = self._expect("ident")
-                if val.value != "ORIENTED":
-                    raise UnknownConditionTypeError(
-                        f"condition type {val.value!r}: only ORIENTED supported",
-                        *self._at(val.start),
-                    )
-                self._expect(")")
-                continue
-            if key.value == "VAR":
-                while self.tok.kind == "ident":
-                    name = self._advance().value
+        # the text, not the first token, decides: a file of comments only
+        # holds the empty system
+        if not self.text.strip():
+            raise self._error("empty input, expected '('", len(self.text))
+        while self.tok[0] != "eof":
+            self._expect("(")
+            _, key, start = self._expect("ident")
+            if key == "CONDITIONTYPE":
+                _, value, at = self._expect("ident")
+                if value != "ORIENTED":
+                    raise self._error(f"condition type {value!r}: only ORIENTED supported",
+                                      at, UnknownConditionTypeError)
+            elif key == "VAR":
+                while self.tok[0] == "ident":
+                    name = self._expect("ident")[1]
                     if name in _KEYWORDS:
-                        raise ParseError(f"{name!r} is reserved", *self._at(key.start))
+                        raise self._error(f"{name!r} is reserved", start)
                     self.var_names[name] = None
-                self._expect(")")
-                continue
-            if key.value == "RULES":
-                while self.tok.kind != ")":
-                    if self.tok.kind == "eof":
-                        raise ParseError("unterminated RULES block", *self._at(self.tok.start))
+            elif key == "RULES":
+                while self.tok[0] != ")":
+                    if self.tok[0] == "eof":
+                        raise self._error("unterminated RULES block", self.tok[2])
                     self.rules.append(self._parse_rule())
-                self._expect(")")
-                continue
-            raise ParseError(f"unknown block keyword {key.value!r}", *self._at(key.start))
+            else:
+                raise self._error(f"unknown block keyword {key!r}", start)
+            self._expect(")")
         return SourceSpec(Ctrs.from_rules(self.rules), tuple(self.var_names))
 
 
@@ -233,11 +235,8 @@ def parse_term(text: str, spec: SourceSpec) -> Term:
     table = {s.name: s for s in spec.ctrs.symbols}
     p = _Parser(text, symbols=table, var_names=spec.var_names)
     t = p.parse_term()
-    if p.tok.kind != "eof":
-        raise ParseError(
-            f"trailing input after term: {p.tok.value or p.tok.kind!r}",
-            *p._at(p.tok.start),
-        )
+    if p.tok[0] != "eof":
+        raise p._error(f"trailing input after term: {p.tok[1]!r}", p.tok[2])
     return t
 
 

@@ -6,7 +6,10 @@ rewrites by plain equality of subterms)."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,17 @@ def corpus_path(name: str) -> Path:
 
 def load_corpus(name: str) -> SourceSpec:
     return parse(corpus_path(name).read_text(encoding="utf-8"))
+
+
+def run_fresh(script, *args, hash_seed="0"):
+    """Run a script in a fresh interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed),
+        timeout=300,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.engine import Bounds
 from ctrskit.terms import Fun, Symbol, Var, ground_terms, render_term
 
-from conftest import CORPUS, corpus_path
+from conftest import CORPUS, corpus_path, run_fresh
 
 FIB = str(corpus_path("fib.ctrs"))
 OVERLAP = str(corpus_path("overlap.ctrs"))
@@ -282,20 +282,9 @@ def test_render_report_views(capsys):
     assert "FAILS" in report and "rule 1" in report
 
 
-def run_fresh(script, *args, hash_seed="0"):
-    """Run a script in a fresh interpreter that imports this checkout."""
-    return subprocess.run(
-        [sys.executable, "-c", script, *args],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=hash_seed),
-        timeout=300,
-    )
-
-
 def test_too_deep_term_exits_2_without_a_traceback():
-    # epar_successors still recurses over arguments, two frames a level
-    # where the parser takes one: under a lowered limit the parser reads
+    # epar_successors still recurses over arguments, two frames a level,
+    # where the parser takes none: under a lowered limit the parser reads
     # s^100(0), and the engine's recursion on it overflows
     script = (
         "import sys\nfrom ctrskit.cli import main\n"

@@ -19,7 +19,7 @@ from ctrskit.cops import (
 from ctrskit.ctrs import Condition, Ctrs, Rule
 from ctrskit.terms import Fun, Symbol, Var
 
-from conftest import CORPUS, load_corpus, random_term
+from conftest import CORPUS, corpus_path, load_corpus, random_term, run_fresh
 
 ALL_CORPUS = sorted(p.name for p in CORPUS.glob("*.ctrs"))
 
@@ -240,6 +240,24 @@ def test_deep_nesting_is_rejected_not_crashing():
     text = "(RULES " + "f(" * 5000 + "a" + ")" * 5000 + " -> a)"
     with pytest.raises(ParseError, match="nesting"):
         parse(text)
+
+
+def test_parser_does_not_recurse():
+    # under a recursion limit of 60, a parser that took a frame per nesting
+    # level could not read these 200-deep terms
+    script = (
+        "import sys\n"
+        "from ctrskit.cops import parse, parse_term\n"
+        "spec = parse(open(sys.argv[1], encoding='utf-8').read())\n"
+        "sys.setrecursionlimit(60)\n"
+        "term = parse_term('s(' * 200 + '0' + ')' * 200, spec)\n"
+        "lhs = parse('(RULES ' + 'f(' * 200 + 'a' + ')' * 200 + ' -> a)').ctrs.rules[0].lhs\n"
+        "for _ in range(200):\n"
+        "    term, lhs = term.args[0], lhs.args[0]\n"
+        "print(term, lhs)\n"
+    )
+    proc = run_fresh(script, str(corpus_path("fib.ctrs")))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 a\n", "")
 
 
 def test_multiple_blocks_accumulate():

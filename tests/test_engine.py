@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ctrskit.ctrs import Condition, Ctrs, Rule
@@ -888,6 +888,11 @@ nest_rules = st.builds(
 )
 
 
+# the nested-systems properties report their first failing draw: shrinking
+# reruns the whole property, which takes seconds, for minutes on end
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
 @st.composite
 def nested_systems(draw):
     length = draw(st.integers(1, len(HS)))
@@ -933,7 +938,8 @@ def test_untruncated_searches_are_complete_and_results_grow_on_nested_conditions
     # breadth-first walk, and a larger relation can fill it with other terms
     tally = {"untruncated": 0, "nested": 0, "grown": 0}
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              phases=NO_SHRINK)
     @given(nested_systems())
     def check(drawn):
         system, length = drawn
@@ -1011,7 +1017,8 @@ def test_registry_rewriters_borrow_only_exact_answers_on_nested_conditions():
 
     borrowed = {"built smaller first": 0, "built larger first": 0, "asked larger first": 0}
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=NO_SHRINK)
     @given(nested_systems())
     def check(drawn):
         system, length = drawn
