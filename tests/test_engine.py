@@ -888,8 +888,8 @@ nest_rules = st.builds(
 )
 
 
-# the nested-systems properties report their first failing draw: shrinking
-# reruns the whole property, which takes seconds, for minutes on end
+# a failing nested-systems property reports its first failing draw: one run
+# takes seconds, and shrinking reran one property for minutes
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
