@@ -33,7 +33,7 @@ from .ctrs import (
     is_ground_normal_form_ru,
     rule_variables,
 )
-from .engine import Bounds, EparSet, epar_successors
+from .engine import Bounds, _rewriter
 from .terms import (
     Fun,
     Position,
@@ -301,30 +301,25 @@ def diamond_fuzz(
     For every seed s and every peak t <-(m)- s -(n)-> u, search for a v with
     t -(n)-> v and u -(m)-> v.  The first peak with no such v is returned;
     with truncated bounds a reported peak may merely mean the join was out
-    of reach, which the truncation flag records.
+    of reach.  Every successor set comes from the one Rewriter that the
+    module functions share for (system, bounds), whose memo asks each join
+    once, and the truncation flag covers every set read.
     """
+    rewriter = _rewriter(system, bounds)
     truncated = False
     peaks = 0
-    # one table for the whole call: each join is asked for once, at its
-    # first peak, and each truncated flag is read once
-    joins: dict[tuple[Term, int], EparSet] = {}
-
-    def successors(t: Term, level: int) -> EparSet:
-        nonlocal truncated
-        found = joins.get((t, level))
-        if found is None:
-            found = joins[t, level] = epar_successors(t, level, system, bounds)
-            truncated |= found.truncated
-        return found
-
     for seed in seeds:
-        lefts = successors(seed, m)
-        rights = successors(seed, n)
+        lefts = rewriter.epar_successors(seed, m)
+        rights = rewriter.epar_successors(seed, n)
+        truncated |= lefts.truncated or rights.truncated
         for t in lefts.ordered:
             for u in rights.ordered:
                 peaks += 1
                 if t == u:
                     continue
-                if successors(t, n).terms.isdisjoint(successors(u, m).terms):
+                join_t = rewriter.epar_successors(t, n)
+                join_u = rewriter.epar_successors(u, m)
+                truncated |= join_t.truncated or join_u.truncated
+                if join_t.terms.isdisjoint(join_u.terms):
                     return DiamondOutcome(DiamondPeak(seed, t, u), truncated, peaks)
     return DiamondOutcome(None, truncated, peaks)

@@ -16,6 +16,7 @@ import pytest
 
 from ctrskit.cops import SourceSpec, parse
 from ctrskit.ctrs import Ctrs, rule_vars
+from ctrskit.engine import Bounds, cstep_star
 from ctrskit.mctxt import HOLE, MFun, MVar, Mctxt
 from ctrskit.terms import (
     Fun,
@@ -24,9 +25,11 @@ from ctrskit.terms import (
     Term,
     Var,
     apply_subst,
+    ground_terms,
     positions,
     replace_at,
     subterm_at,
+    vars_of,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -223,3 +226,23 @@ def naive_reach(t: Term, pairs: set[tuple[Term, Term]], depth: int) -> frozenset
             break
         frontier = nxt
     return frozenset(seen)
+
+
+def ground_search_satisfiable(overlap, system, size: int, depth: int) -> bool:
+    """Whether some instance of the overlap's conditions by ground terms up
+    to `size` solves them all by a `depth`-bounded search at level 8."""
+    conds = overlap.combined_conditions()
+    free = sorted(
+        {v for c in conds for v in vars_of(c.lhs) | vars_of(c.rhs)},
+        key=lambda v: (v.name, -1 if v.index is None else v.index),
+    )
+    bounds = Bounds(max_level=8, max_depth=depth, max_terms=100000)
+    for images in itertools.product(ground_terms(system.symbols, size), repeat=len(free)):
+        sigma = Subst(dict(zip(free, images)))
+        if all(
+            apply_subst(c.rhs, sigma)
+            in cstep_star(apply_subst(c.lhs, sigma), bounds.max_level, system, bounds).terms
+            for c in conds
+        ):
+            return True
+    return False

@@ -31,7 +31,6 @@ from ctrskit.engine import Bounds, cstep_n, cstep_star, epar_check, epar_success
 from ctrskit.mctxt import HOLE, decompose, fill, fill_ctx, hole_count, leq, meet
 from ctrskit.terms import (
     Fun,
-    Subst,
     Var,
     apply_subst,
     ground_terms,
@@ -44,6 +43,7 @@ from ctrskit.unify import RenamingScope, mgu, rename_apart
 
 from conftest import (
     corpus_path,
+    ground_search_satisfiable,
     load_corpus,
     random_context,
     random_ground_term,
@@ -260,29 +260,11 @@ def test_criterion_7_infeasibility_cross_check():
             if od.disposition not in (DISP_IF1, DISP_IF2):
                 continue
             marked += 1
-            assert not _ground_instantiation_satisfiable(
+            assert not ground_search_satisfiable(
                 od.overlap, system, size=5, depth=5
             ), (name, od)
     assert marked >= 2  # the IF2 corpus file contributes at least two
     _report(7, "infeasibility cross-check", started, 60.0)
-
-
-def _ground_instantiation_satisfiable(overlap, system, size, depth):
-    conds = overlap.combined_conditions()
-    free = sorted(
-        {v for c in conds for v in vars_of(c.lhs) | vars_of(c.rhs)},
-        key=lambda v: (v.name, -1 if v.index is None else v.index),
-    )
-    search_bounds = Bounds(max_level=8, max_depth=depth, max_terms=100000)
-    for images in itertools.product(ground_terms(system.symbols, size), repeat=len(free)):
-        sigma = Subst(dict(zip(free, images)))
-        if all(
-            apply_subst(c.rhs, sigma)
-            in cstep_star(apply_subst(c.lhs, sigma), 8, system, search_bounds).terms
-            for c in conds
-        ):
-            return True
-    return False
 
 
 def test_criterion_8_parser_suite():

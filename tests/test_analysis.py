@@ -27,7 +27,7 @@ from ctrskit.analysis import (
 )
 from ctrskit.cops import parse
 from ctrskit.ctrs import Condition, Ctrs, Rule
-from ctrskit.engine import Bounds, cstep_star, epar_successors
+from ctrskit.engine import Bounds, epar_successors
 from ctrskit.terms import (
     Fun,
     Subst,
@@ -52,7 +52,7 @@ from ctrskit.unify import (
     rename_term_apart,
 )
 
-from conftest import CORPUS, load_corpus
+from conftest import CORPUS, ground_search_satisfiable, load_corpus
 
 BOUNDS = Bounds(max_level=8, max_depth=8, max_terms=4096)
 
@@ -267,26 +267,7 @@ def test_infeasible_never_contradicts_ground_search():
         for od in dispose_overlaps(system):
             if od.disposition not in (DISP_IF1, DISP_IF2):
                 continue
-            assert not _ground_search_satisfiable(od.overlap, system, size=4, depth=5)
-
-
-def _ground_search_satisfiable(overlap, system, size, depth):
-    conds = overlap.combined_conditions()
-    free = sorted(
-        {v for c in conds for v in vars_of(c.lhs) | vars_of(c.rhs)},
-        key=lambda v: (v.name, v.index if v.index is not None else -1),
-    )
-    bounds = Bounds(8, depth, 100000)
-    candidates = ground_terms(system.symbols, size)
-    for images in itertools.product(candidates, repeat=len(free)):
-        sigma = Subst(dict(zip(free, images)))
-        if all(
-            apply_subst(c.rhs, sigma)
-            in cstep_star(apply_subst(c.lhs, sigma), bounds.max_level, system, bounds).terms
-            for c in conds
-        ):
-            return True
-    return False
+            assert not ground_search_satisfiable(od.overlap, system, size=4, depth=5)
 
 
 def test_dispositions_stay_within_the_documented_enum():
@@ -366,18 +347,32 @@ def oracle_diamond_fuzz(system, seeds, m, n, bounds, epar):
 
 def test_diamond_fuzz_asks_for_joins_in_the_oracle_order(fib, monkeypatch):
     import ctrskit.analysis as analysis
+    import ctrskit.engine as engine
 
     calls = []
+    fetched = []
 
     def recorded(t, level, system, bounds):
         calls.append((t, level))
         return epar_successors(t, level, system, bounds)
 
+    class Recording:
+        """The registry Rewriter that diamond_fuzz fetches, noting each ask."""
+
+        def __init__(self, system, bounds):
+            fetched.append((system, bounds))
+            self.rewriter = engine._rewriter(system, bounds)
+
+        def epar_successors(self, t, level):
+            calls.append((t, level))
+            return self.rewriter.epar_successors(t, level)
+
     def run(fuzz, *args):
         calls.clear()
+        fetched.clear()
         return fuzz(*args), list(dict.fromkeys(calls))
 
-    monkeypatch.setattr(analysis, "epar_successors", recorded)
+    monkeypatch.setattr(analysis, "_rewriter", Recording)
     # k(b, b) sorts after its reducts g(b) and h(b), whose rules 1 and 2
     # have condition goals g(y) and h(y) that hold a variable: the engine
     # leaves them unsolved, so a level-1 step from g(b) or h(b) is cut
@@ -395,6 +390,8 @@ def test_diamond_fuzz_asks_for_joins_in_the_oracle_order(fib, monkeypatch):
                 args = (system, some, m, n, bounds)
                 expected = run(lambda *a: oracle_diamond_fuzz(*a, recorded), *args)
                 assert run(diamond_fuzz, *args) == expected
+                # one registry lookup per call, not one per join
+                assert fetched == [(system, bounds)]
                 if system is unsolvable:
                     # the peak g(b) <- k(b, b) -> h(b) does not join under
                     # the cut, so the outcome must say a bound may hide its join
@@ -673,7 +670,7 @@ def test_infeasibility_never_contradicts_a_ground_search_on_random_systems():
             conds = od.overlap.combined_conditions()
             if len({v for c in conds for v in vars_of(c.lhs) | vars_of(c.rhs)}) > 3:
                 continue
-            satisfiable = _ground_search_satisfiable(od.overlap, system, size=3, depth=4)
+            satisfiable = ground_search_satisfiable(od.overlap, system, size=3, depth=4)
             assert not satisfiable, (rule_list, od.overlap.pos, od.disposition)
             checked[od.disposition] += 1
 
@@ -746,7 +743,7 @@ def test_level_confluent_systems_with_an_infeasible_pair_hold_up():
             od for od in verdict.overlaps if od.disposition in (DISP_IF1, DISP_IF2)
         ]
         for od in infeasible_overlaps:
-            satisfiable = _ground_search_satisfiable(od.overlap, system, size=3, depth=3)
+            satisfiable = ground_search_satisfiable(od.overlap, system, size=3, depth=3)
             assert not satisfiable, (rule_list, od.overlap.pos, od.disposition)
         seeds = ground_terms(system.symbols, 3)
         for m, n in ((1, 1), (1, 2), (2, 2)):

@@ -94,8 +94,11 @@ def test_traced_diamond_builds_no_witness(tmp_path):
     assert trace["mctxt.of_term.calls"] == 0
     # 35882 when each left peak's join was asked for once per right peak,
     # 29841 when each right peak's join was asked for once per left peak,
-    # 23800 when the right peaks' joins were kept for one seed only
-    assert trace["engine.epar_successors.calls"] < 23800
+    # 23800 when the right peaks' joins were kept for one seed only,
+    # 15583 when every join went through the module function
+    assert trace["engine.epar_successors.calls"] == 0
+    # one registry lookup per diamond_fuzz call, and one Rewriter per system
+    assert (trace["engine.memo_hits"], trace["engine.memo_misses"]) == (4922, 2)
     # 4873 when every successor set was sorted as it was built, 6248 when a
     # set of one term was sorted too
     assert trace["terms.term_key.calls"] < 3500
